@@ -26,11 +26,13 @@ class BitTree:
     that are permanently marked used, so the complete-tree index
     arithmetic never needs a bounds branch.
 
-    ``op_steps`` counts every tree-bit read and write performed by
-    ``allocate``, ``release``, and ``allocate_with_hint``; tests use the
-    per-operation delta to verify the logarithmic step bound.  The
-    read-only observers (``is_slot_free``, ``check_integrity``) do not
-    count.
+    ``op_steps`` counts tree steps: one step is one read or one write of
+    an element of ``bits``.  ``allocate``, ``release`` and
+    ``allocate_with_hint`` count every such access they make, including
+    the root or leaf read that ends in ``PoolExhausted`` or ``DoubleFree``;
+    tests use the per-operation delta to verify the logarithmic step
+    bound.  Range checks touch no bit and count nothing, and neither do
+    the read-only observers (``is_slot_free``, ``check_integrity``).
     """
 
     __slots__ = ("capacity", "n_leaves", "bits", "free_count", "op_steps")
@@ -40,59 +42,76 @@ class BitTree:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.n_leaves = _next_pow2(capacity)
-        self.bits = bytearray(2 * self.n_leaves - 1)
+        self.bits = bits = bytearray(2 * self.n_leaves - 1)
         self.free_count = capacity
         self.op_steps = 0
-        base = self.n_leaves - 1
-        for s in range(capacity, self.n_leaves):
-            self.bits[base + s] = 1
-        for i in range(base - 1, -1, -1):
-            self.bits[i] = self.bits[2 * i + 1] & self.bits[2 * i + 2]
-
-    # -- counted bit access -------------------------------------------
-
-    def _read(self, idx: int) -> int:
-        self.op_steps += 1
-        return self.bits[idx]
-
-    def _write(self, idx: int, value: int) -> None:
-        self.op_steps += 1
-        self.bits[idx] = value
+        # On a fresh tree a node is 1 exactly when its whole subtree is
+        # phantom padding; on each level those nodes form a suffix.
+        width, first_full = self.n_leaves, capacity
+        while width:
+            bits[width - 1 + first_full:2 * width - 1] = b"\x01" * (width - first_full)
+            width >>= 1
+            first_full = (first_full + 1) >> 1
 
     def _check_slot(self, slot: int, what: str = "slot") -> None:
         if not 0 <= slot < self.capacity:
             raise OutOfRange(f"{what} {slot} not in [0, {self.capacity})")
 
     # -- operations ----------------------------------------------------
+    #
+    # The operations index ``bits`` directly and tally their steps in a
+    # local, added to ``op_steps`` once per call.  The descent reads one
+    # bit per level, so it costs ``depth`` steps.  Every node it passes
+    # through was 0, so after the leaf is set an ancestor turns 1 exactly
+    # while the sibling below it is 1: the climb reads one sibling per
+    # level and stops at the first free one.  ``((i - 1) ^ 1) + 1`` is the
+    # sibling of node ``i``.
 
     def allocate(self) -> int:
         """Mark the lowest-index free slot used and return it."""
-        if self._read(0):
+        bits = self.bits
+        if bits[0]:
+            self.op_steps += 1
             raise PoolExhausted("all slots are in use")
-        idx = 0
         base = self.n_leaves - 1
+        steps = 2 + base.bit_length()  # root read, one read per level, leaf write
+        idx = 0
         while idx < base:
-            left = 2 * idx + 1
-            # parent bit is 0, so if the left child is full the right is free
-            idx = left if self._read(left) == 0 else left + 1
-        self._write(idx, 1)
+            idx = 2 * idx + 1
+            # parent bit is 0, so if the left child is full (1) the right is free
+            idx += bits[idx]
+        bits[idx] = 1
         self.free_count -= 1
-        self._propagate_up(idx)
-        return idx - base
+        slot = idx - base
+        while idx:
+            if not bits[((idx - 1) ^ 1) + 1]:
+                steps += 1
+                break
+            idx = (idx - 1) >> 1
+            bits[idx] = 1
+            steps += 2
+        self.op_steps += steps
+        return slot
 
     def release(self, slot: int) -> None:
         """Mark ``slot`` free and clear ancestor bits until one is already 0."""
         self._check_slot(slot)
+        bits = self.bits
         idx = self.n_leaves - 1 + slot
-        if self._read(idx) == 0:
+        if not bits[idx]:
+            self.op_steps += 1
             raise DoubleFree(f"slot {slot} is already free")
-        self._write(idx, 0)
+        bits[idx] = 0
         self.free_count += 1
+        steps = 2
         while idx:
             idx = (idx - 1) >> 1
-            if self._read(idx) == 0:
+            if not bits[idx]:
+                steps += 1
                 break
-            self._write(idx, 0)
+            bits[idx] = 0
+            steps += 2
+        self.op_steps += steps
 
     def allocate_with_hint(self, hint: int) -> int:
         """Allocate a free slot near ``hint`` by greedy descent.
@@ -105,36 +124,41 @@ class BitTree:
         the root-to-hint path.  Greedy, not globally nearest.
         """
         self._check_slot(hint, "hint")
-        if self._read(0):
+        bits = self.bits
+        if bits[0]:
+            self.op_steps += 1
             raise PoolExhausted("all slots are in use")
         base = self.n_leaves - 1
-        idx, lo, hi = 0, 0, self.n_leaves
-        on_path = True
-        prefer_right = False
-        while idx < base:
-            mid = (lo + hi) >> 1
-            left = 2 * idx + 1
-            right = left + 1
-            if on_path:
-                toward = left if hint < mid else right
-                if self._read(toward) == 0:
-                    idx = toward
-                else:
-                    # forced off the hint path: steer back toward it from now on
-                    idx = right if toward is left else left
-                    on_path = False
-                    prefer_right = hint >= mid
-            else:
-                first, second = (right, left) if prefer_right else (left, right)
-                idx = first if self._read(first) == 0 else second
-            if idx == left:
-                hi = mid
-            else:
-                lo = mid
-        self._write(idx, 1)
+        level = base.bit_length()  # levels left to descend
+        steps = 2 + level  # root read, one read per level, leaf write
+        idx = 0
+        while level:
+            level -= 1
+            # bit ``level`` of the hint says which child holds the hint leaf
+            toward_right = (hint >> level) & 1
+            idx = 2 * idx + 1 + toward_right
+            if bits[idx]:
+                # forced off the hint path: take the sibling, then steer
+                # back toward the hint (rightward if it lies to the right)
+                idx = ((idx - 1) ^ 1) + 1
+                while level:
+                    level -= 1
+                    idx = 2 * idx + 1 + toward_right
+                    if bits[idx]:
+                        idx = ((idx - 1) ^ 1) + 1
+                break
+        bits[idx] = 1
         self.free_count -= 1
-        self._propagate_up(idx)
-        return idx - base
+        slot = idx - base
+        while idx:
+            if not bits[((idx - 1) ^ 1) + 1]:
+                steps += 1
+                break
+            idx = (idx - 1) >> 1
+            bits[idx] = 1
+            steps += 2
+        self.op_steps += steps
+        return slot
 
     def is_slot_free(self, slot: int) -> bool:
         self._check_slot(slot)
@@ -151,15 +175,3 @@ class BitTree:
                 return False
         zeros = sum(1 for s in range(self.capacity) if self.bits[base + s] == 0)
         return zeros == self.free_count
-
-    # -- internals -----------------------------------------------------
-
-    def _propagate_up(self, idx: int) -> None:
-        # AND siblings upward, stopping at the first parent whose bit is unchanged
-        while idx:
-            parent = (idx - 1) >> 1
-            value = self._read(2 * parent + 1) & self._read(2 * parent + 2)
-            if self._read(parent) == value:
-                break
-            self._write(parent, value)
-            idx = parent

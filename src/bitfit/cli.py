@@ -12,7 +12,7 @@ import time
 
 from .bittree import BitTree
 from .errors import AllocatorError, TraceError
-from .trace import parse_trace, replay
+from .trace import decode_trace, parse_trace, replay
 from .workload import run_list_lifecycle, run_random_churn
 
 ALLOCATOR_CHOICES = ("bitmap", "freelist-lifo", "freelist-fifo", "linear-bitmap")
@@ -37,6 +37,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -74,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="lifecycle")
     bench.add_argument("--fill", type=_fill_ratio, default=0.7,
                        help="target fill ratio for the churn workload")
-    bench.add_argument("--ops", type=int, default=1000,
+    bench.add_argument("--ops", type=_non_negative_int, default=1000,
                        help="churn operation count")
 
     rep = sub.add_parser("replay", help="replay a trace file")
@@ -150,8 +157,8 @@ def cmd_replay(args) -> int:
     policy = _policy_kind(args.allocator)
     config = _config_dict(
         args, ("allocator", "slots", "slot_size", "seed", "line_size", "trace"))
-    with open(args.trace, encoding="utf-8") as fh:
-        events = parse_trace(fh.read())
+    with open(args.trace, "rb") as fh:
+        events = parse_trace(decode_trace(fh.read()))
     records = replay(events, policy, args.slots, args.slot_size)
 
     if args.format == "json":

@@ -45,6 +45,19 @@ class ReplayRecord:
     offset: int
 
 
+def decode_trace(data: bytes) -> str:
+    """Decode trace bytes as UTF-8; a bad byte is a syntax error on its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # count lines the way parse_trace does: the bad byte ends a partial
+        # line, so a sentinel character stands in for it
+        head = data[:exc.start].decode("utf-8") + "x"
+        raise TraceSyntaxError(
+            len(head.splitlines()),
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+
+
 def parse_trace(text: str) -> List[TraceEvent]:
     events = []
     for line_no, raw in enumerate(text.splitlines(), 1):

@@ -19,6 +19,11 @@ def step_bound(n_leaves):
     return 6 * max(1, n_leaves - 1).bit_length() + 4 if n_leaves > 1 else 4
 
 
+# every small capacity, plus each side of every power of two up to 2^12
+PADDED_CAPACITIES = sorted(
+    set(range(1, 71)) | {2 ** k + d for k in range(1, 13) for d in (-1, 0, 1)})
+
+
 class TestNew:
     def test_eight_slots_is_fifteen_bits_all_zero(self):
         tree = BitTree(8)
@@ -32,12 +37,15 @@ class TestNew:
         assert tree.bits[0] == 0
         assert tree.free_count == 1
 
-    def test_capacity_five_pads_with_phantom_leaves(self):
-        tree = BitTree(5)
-        assert tree.n_leaves == 8
-        assert list(tree.bits[7 + 5:]) == [1, 1, 1]
+    @pytest.mark.parametrize("capacity", PADDED_CAPACITIES)
+    def test_capacity_pads_with_phantom_leaves(self, capacity):
+        tree = BitTree(capacity)
+        base = tree.n_leaves - 1
+        assert capacity <= tree.n_leaves < 2 * capacity
+        assert list(tree.bits[base:base + capacity]) == [0] * capacity
+        assert list(tree.bits[base + capacity:]) == [1] * (tree.n_leaves - capacity)
         assert tree.bits[0] == 0
-        assert tree.free_count == 5
+        assert tree.free_count == capacity
         assert list(tree.bits) == rebuild_internal(leaves_of(tree))
 
     def test_zero_capacity_rejected(self):
@@ -286,3 +294,90 @@ def test_full_then_drain_restores_fresh_state():
         tree.release(s)
     assert bytes(tree.bits) == fresh
     assert tree.free_count == 13
+
+
+class CountingBits(bytearray):
+    """Tree bits that count every element read and write."""
+
+    accesses = 0
+
+    def __getitem__(self, key):
+        self.accesses += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.accesses += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5, 16, 100])
+def test_op_steps_equals_bit_accesses(capacity):
+    tree = BitTree(capacity)
+    tree.bits = CountingBits(tree.bits)
+    rng = random.Random(capacity)
+    live, freed = [], []
+    exits = {PoolExhausted: 0, DoubleFree: 0}
+
+    def counted(op, *args):
+        steps, accesses = tree.op_steps, tree.bits.accesses
+        try:
+            return op(*args)
+        except (PoolExhausted, DoubleFree) as exc:
+            exits[type(exc)] += 1
+            return None
+        finally:
+            assert tree.op_steps - steps == tree.bits.accesses - accesses
+
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.3:
+            slot = counted(tree.allocate)
+        elif roll < 0.6:
+            slot = counted(tree.allocate_with_hint, rng.randrange(capacity))
+        elif roll < 0.95 or not freed:
+            if live:
+                slot = live.pop(rng.randrange(len(live)))
+                counted(tree.release, slot)
+                freed.append(slot)
+            continue
+        else:
+            slot = rng.choice(freed)
+            if not tree.is_slot_free(slot):
+                continue
+            counted(tree.release, slot)  # double free
+            continue
+        if slot is None:
+            assert tree.free_count == 0
+        else:
+            live.append(slot)
+            if slot in freed:
+                freed.remove(slot)
+    assert exits[PoolExhausted] and exits[DoubleFree]
+    tree.bits = bytearray(tree.bits)
+    assert tree.check_integrity()
+
+
+def test_worked_example_step_counts():
+    # root read, reads of bits 1, 3, 7, write of leaf 7, read of sibling 8 (free)
+    tree = BitTree(8)
+    tree.allocate()
+    assert tree.op_steps == 6
+
+    # read and write leaf 12, read and clear bit 5, read bit 2 (already 0)
+    tree = BitTree(8)
+    for _ in range(6):
+        tree.allocate()
+    before = tree.op_steps
+    tree.release(5)
+    assert tree.op_steps - before == 5
+
+    # root read, read bit 2 (full), reads of bits 4 and 10, write of leaf 10,
+    # read of sibling 9 (free)
+    tree = BitTree(8)
+    for _ in range(8):
+        tree.allocate()
+    for s in range(4):
+        tree.release(s)
+    before = tree.op_steps
+    assert tree.allocate_with_hint(4) == 3
+    assert tree.op_steps - before == 6

@@ -52,6 +52,12 @@ class TestBench:
         assert code == 2
         assert "usage" in err or "slots" in err
 
+    def test_negative_ops_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--workload", "churn", "--ops", "-1")
+        assert code == 2
+        assert "--ops" in err and out == ""
+
     def test_bad_allocator_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--allocator", "slab")
         assert code == 2
@@ -87,6 +93,14 @@ class TestReplay:
         code, _, err = run_cli(capsys, "replay", "--trace", path, "--slots", "8")
         assert code == 1
         assert "line 3" in err
+
+    def test_non_utf8_trace_names_line(self, capsys, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"alloc a\nalloc b\xff\n")
+        code, out, err = run_cli(capsys, "replay", "--trace", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: invalid UTF-8 byte 0xff\n"
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
