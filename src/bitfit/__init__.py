@@ -32,7 +32,6 @@ from .trace import (
 )
 from .workload import (
     LifecycleReport,
-    ListNode,
     LocalityReport,
     distinct_lines,
     mean_abs_gap,
@@ -49,7 +48,6 @@ __all__ = [
     "FreeListPolicy",
     "LifecycleReport",
     "LinearBitmapPolicy",
-    "ListNode",
     "LocalityReport",
     "Misaligned",
     "OutOfRange",

@@ -7,10 +7,19 @@ correctness oracle for the tree allocator.
 
 from collections import deque
 
-from .errors import DoubleFree, OutOfRange, PoolExhausted
+from .errors import DoubleFree, PoolExhausted, check_range
 
 
-class FreeListPolicy:
+class _HintIgnoringPolicy:
+    """Shared by the baselines, which have no locality structure to steer
+    by: a hint is range-checked and then ignored."""
+
+    def allocate_with_hint(self, hint: int) -> int:
+        check_range(hint, self.capacity, "hint")
+        return self.allocate()
+
+
+class FreeListPolicy(_HintIgnoringPolicy):
     """Fixed-size free-list allocator, LIFO or FIFO reuse order.
 
     Fresh pools allocate by bumping ``next_fresh`` so first use hands out
@@ -47,27 +56,19 @@ class FreeListPolicy:
             return slot
         raise PoolExhausted("all slots are in use")
 
-    def allocate_with_hint(self, hint: int) -> int:
-        # free lists have no notion of locality; the hint is ignored
-        if not 0 <= hint < self.capacity:
-            raise OutOfRange(f"hint {hint} not in [0, {self.capacity})")
-        return self.allocate()
-
     def release(self, slot: int) -> None:
-        if not 0 <= slot < self.capacity:
-            raise OutOfRange(f"slot {slot} not in [0, {self.capacity})")
+        check_range(slot, self.capacity)
         if slot >= self.next_fresh or slot in self._free_set:
             raise DoubleFree(f"slot {slot} is not currently allocated")
         self.free_sequence.append(slot)
         self._free_set.add(slot)
 
     def is_slot_free(self, slot: int) -> bool:
-        if not 0 <= slot < self.capacity:
-            raise OutOfRange(f"slot {slot} not in [0, {self.capacity})")
+        check_range(slot, self.capacity)
         return slot >= self.next_fresh or slot in self._free_set
 
 
-class LinearBitmapPolicy:
+class LinearBitmapPolicy(_HintIgnoringPolicy):
     """First-fit over a flat occupancy byte array, scanned left to right.
 
     Worst-case linear per allocation; exists as the independent oracle the
@@ -89,21 +90,13 @@ class LinearBitmapPolicy:
         self.free_count -= 1
         return slot
 
-    def allocate_with_hint(self, hint: int) -> int:
-        # no locality structure to exploit; behaves as plain allocate
-        if not 0 <= hint < self.capacity:
-            raise OutOfRange(f"hint {hint} not in [0, {self.capacity})")
-        return self.allocate()
-
     def release(self, slot: int) -> None:
-        if not 0 <= slot < self.capacity:
-            raise OutOfRange(f"slot {slot} not in [0, {self.capacity})")
+        check_range(slot, self.capacity)
         if self.leaf_bits[slot] == 0:
             raise DoubleFree(f"slot {slot} is already free")
         self.leaf_bits[slot] = 0
         self.free_count += 1
 
     def is_slot_free(self, slot: int) -> bool:
-        if not 0 <= slot < self.capacity:
-            raise OutOfRange(f"slot {slot} not in [0, {self.capacity})")
+        check_range(slot, self.capacity)
         return self.leaf_bits[slot] == 0

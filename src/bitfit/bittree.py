@@ -9,7 +9,7 @@ the root bit alone answers "is the pool full?" in O(1).  Children of node
 ``i`` live at ``2*i + 1`` and ``2*i + 2``.
 """
 
-from .errors import DoubleFree, OutOfRange, PoolExhausted
+from .errors import DoubleFree, PoolExhausted, check_range
 
 
 def _next_pow2(n: int) -> int:
@@ -53,10 +53,6 @@ class BitTree:
             width >>= 1
             first_full = (first_full + 1) >> 1
 
-    def _check_slot(self, slot: int, what: str = "slot") -> None:
-        if not 0 <= slot < self.capacity:
-            raise OutOfRange(f"{what} {slot} not in [0, {self.capacity})")
-
     # -- operations ----------------------------------------------------
     #
     # The operations index ``bits`` directly and tally their steps in a
@@ -95,7 +91,7 @@ class BitTree:
 
     def release(self, slot: int) -> None:
         """Mark ``slot`` free and clear ancestor bits until one is already 0."""
-        self._check_slot(slot)
+        check_range(slot, self.capacity)
         bits = self.bits
         idx = self.n_leaves - 1 + slot
         if not bits[idx]:
@@ -123,7 +119,7 @@ class BitTree:
         and otherwise always falls inside the smallest free subtree on
         the root-to-hint path.  Greedy, not globally nearest.
         """
-        self._check_slot(hint, "hint")
+        check_range(hint, self.capacity, "hint")
         bits = self.bits
         if bits[0]:
             self.op_steps += 1
@@ -161,7 +157,7 @@ class BitTree:
         return slot
 
     def is_slot_free(self, slot: int) -> bool:
-        self._check_slot(slot)
+        check_range(slot, self.capacity)
         return self.bits[self.n_leaves - 1 + slot] == 0
 
     def check_integrity(self) -> bool:

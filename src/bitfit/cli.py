@@ -12,10 +12,11 @@ import time
 
 from .bittree import BitTree
 from .errors import AllocatorError, TraceError
+from .pool import POLICY_KINDS
 from .trace import decode_trace, parse_trace, replay
 from .workload import run_list_lifecycle, run_random_churn
 
-ALLOCATOR_CHOICES = ("bitmap", "freelist-lifo", "freelist-fifo", "linear-bitmap")
+ALLOCATOR_CHOICES = tuple(kind.replace("_", "-") for kind in POLICY_KINDS)
 
 # top-level shape of every JSON report this tool emits
 REPORT_SCHEMA = {

@@ -1,4 +1,5 @@
-"""Exception types shared by all allocator policies and the trace replayer."""
+"""Exception types shared by all allocator policies and the trace replayer,
+plus the range check every policy makes."""
 
 
 class AllocatorError(Exception):
@@ -15,6 +16,12 @@ class DoubleFree(AllocatorError):
 
 class OutOfRange(AllocatorError):
     """Slot or hint index lies outside the pool."""
+
+
+def check_range(index: int, capacity: int, what: str = "slot") -> None:
+    """Raise OutOfRange unless ``0 <= index < capacity``."""
+    if not 0 <= index < capacity:
+        raise OutOfRange(f"{what} {index} not in [0, {capacity})")
 
 
 class Misaligned(AllocatorError):

@@ -68,6 +68,3 @@ class Pool:
 
     def release(self, offset: int) -> None:
         self.policy.release(self.slot_of(offset))
-
-    def is_free(self, offset: int) -> bool:
-        return self.policy.is_slot_free(self.slot_of(offset))

@@ -1,6 +1,6 @@
 """Text allocation traces: parse, format, generate, and replay.
 
-Grammar, one event per line, tokens separated by single spaces:
+Grammar, one event per line, tokens separated by any run of whitespace:
 
     alloc <id>
     free <id>
@@ -8,10 +8,10 @@ Grammar, one event per line, tokens separated by single spaces:
 
 ``#`` starts a comment line; blank lines are skipped; ids match
 ``[A-Za-z0-9_]+``.  Hints name live ids rather than raw slots, so the same
-trace replays through any policy.
+trace replays through any policy.  ``generate_trace`` writes the schedule
+of a workload from ``workload`` as a trace.
 """
 
-import random
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -24,6 +24,7 @@ from .errors import (
     UnknownId,
 )
 from .pool import Pool
+from .workload import churn_steps, lifecycle_free_order
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -125,12 +126,8 @@ def replay(events: Sequence[TraceEvent], policy_kind: str, capacity: int,
 
 def generate_lifecycle_trace(node_count: int, seed: int) -> str:
     """Event stream of the list lifecycle: fill, free in value-sorted order, refill."""
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    rng = random.Random(seed)
+    order = lifecycle_free_order(node_count, seed)
     lines = [f"alloc n{i}" for i in range(node_count)]
-    values = [rng.randint(0, 100) for _ in range(node_count)]
-    order = sorted(range(node_count), key=lambda i: values[i])  # stable
     lines.extend(f"free n{i}" for i in order)
     lines.extend(f"alloc m{i}" for i in range(node_count))
     return "\n".join(lines) + "\n"
@@ -139,28 +136,14 @@ def generate_lifecycle_trace(node_count: int, seed: int) -> str:
 def generate_churn_trace(capacity: int, target_fill: float, ops: int,
                          seed: int) -> str:
     """Random alloc/free stream holding the live count near the target fill."""
-    if not 0.0 <= target_fill < 1.0:
-        raise ValueError("target_fill must be in [0, 1)")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    rng = random.Random(seed)
-    target = round(capacity * target_fill)
     lines = []
-    live = []
     fresh = 0
-    for _ in range(target):
-        lines.append(f"alloc c{fresh}")
-        live.append(f"c{fresh}")
-        fresh += 1
-    for _ in range(ops):
-        if len(live) < target or not live:
+    for k in churn_steps(capacity, target_fill, ops, seed):
+        if k is None:
             lines.append(f"alloc c{fresh}")
-            live.append(f"c{fresh}")
             fresh += 1
         else:
-            victim = rng.randrange(len(live))
-            live[victim], live[-1] = live[-1], live[victim]
-            lines.append(f"free {live.pop()}")
+            lines.append(f"free c{k}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

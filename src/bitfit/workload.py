@@ -1,30 +1,29 @@
-"""Linked-list lifecycle and churn workloads plus address-geometry metrics.
+"""The lifecycle and churn workloads plus address-geometry metrics.
 
-The lifecycle run builds a list of random-valued nodes, traverses it,
-sorts it by value, frees every node in sorted order, rebuilds the list,
-and traverses again.  Under a free-list allocator the rebuild inherits the
-scrambled free order; under the bitmap tree it comes back in address
-order.  Locality is measured on the traversal offset sequence with three
-proxies: the fraction of steps that advance by exactly one slot, the
-number of distinct cache lines touched, and the mean absolute gap.
+Each workload's seeded decisions are defined once here, as a schedule
+(``lifecycle_free_order``, ``churn_steps``): the runners drive a ``Pool``
+with it, and ``trace.generate_trace`` writes it out as text.
+
+The lifecycle run allocates a list of random-valued nodes, frees every
+node in value order, and allocates the list again.  A list traversed from
+its head visits its nodes in allocation order, so each traversal is the
+sequence of acquired offsets.  Under a free-list allocator the rebuild
+inherits the scrambled free order; under the bitmap tree it comes back in
+address order.  Locality is measured on the traversal offset sequence
+with three proxies: the fraction of steps that advance by exactly one
+slot, the number of distinct cache lines touched, and the mean absolute
+gap.
 """
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .pool import Pool
 
 GENERATOR_NAME = "mt19937"  # random.Random; identity recorded in reports
 
 DEFAULT_LINE_SIZE = 64
-
-
-@dataclass
-class ListNode:
-    offset: int
-    value: int
-    next: Optional["ListNode"] = None
 
 
 @dataclass(frozen=True)
@@ -81,59 +80,73 @@ def measure(offsets: Sequence[int], slot_size: int,
     )
 
 
-def _build_list(pool: Pool, count: int, rng: random.Random):
-    """Append ``count`` nodes with values in [0, 100]; returns (head, nodes)."""
-    head = None
-    tail = None
-    nodes = []
-    for _ in range(count):
-        node = ListNode(offset=pool.acquire(), value=rng.randint(0, 100))
-        if tail is None:
-            head = node
+def lifecycle_free_order(node_count: int, seed: int) -> List[int]:
+    """Node indices in the order the lifecycle frees them.
+
+    Node ``i`` gets the ``i``-th value drawn with ``randint(0, 100)``, and
+    the nodes are freed in value order.  The sort is stable, so equal
+    values keep allocation order and the order is fully deterministic.
+    """
+    if node_count < 1:
+        raise ValueError("node_count must be >= 1")
+    rng = random.Random(seed)
+    values = [rng.randint(0, 100) for _ in range(node_count)]
+    return sorted(range(node_count), key=values.__getitem__)
+
+
+def churn_steps(capacity: int, target_fill: float, ops: int,
+                seed: int) -> Iterator[Optional[int]]:
+    """The churn workload's schedule, one step per allocation or free.
+
+    Ids number the allocations from 0.  A step is ``None`` for "allocate
+    the next id" or an int ``k`` for "free id k".  The schedule first
+    fills to round(capacity * target_fill), then takes ``ops`` steps:
+    below target allocate, at or above target free a uniformly random
+    live id.  The arguments are checked before the first step is taken.
+    """
+    if not 0.0 <= target_fill < 1.0:
+        raise ValueError("target_fill must be in [0, 1)")
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
+    return _churn_schedule(round(capacity * target_fill), ops,
+                           random.Random(seed))
+
+
+def _churn_schedule(target: int, ops: int,
+                    rng: random.Random) -> Iterator[Optional[int]]:
+    for _ in range(target):
+        yield None
+    live = list(range(target))
+    fresh = target
+    for _ in range(ops):
+        if len(live) < target or not live:
+            live.append(fresh)
+            fresh += 1
+            yield None
         else:
-            tail.next = node
-        tail = node
-        nodes.append(node)
-    return head, nodes
-
-
-def _traversal_offsets(head: Optional[ListNode]):
-    offsets = []
-    node = head
-    while node is not None:
-        offsets.append(node.offset)
-        node = node.next
-    return offsets
+            # swap the victim to the end so the pop is O(1)
+            victim = rng.randrange(len(live))
+            live[victim], live[-1] = live[-1], live[victim]
+            yield live.pop()
 
 
 def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
                        seed: int, line_size: int = DEFAULT_LINE_SIZE) -> LifecycleReport:
-    """Populate / traverse / sort / clear / repopulate / traverse."""
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    rng = random.Random(seed)
+    """Fill / free in value order / refill, measuring both fills."""
+    free_order = lifecycle_free_order(node_count, seed)
     pool = Pool(slot_size, node_count, policy_kind)
-
-    head, nodes = _build_list(pool, node_count, rng)
-    first = measure(_traversal_offsets(head), slot_size, line_size)
-
-    # stable sort by value keeps insertion order among equal values,
-    # making the free order fully deterministic
-    nodes.sort(key=lambda n: n.value)
-    for node in nodes:
-        pool.release(node.offset)
-
-    head, _ = _build_list(pool, node_count, rng)
-    second = measure(_traversal_offsets(head), slot_size, line_size)
-
+    first = [pool.acquire() for _ in range(node_count)]
+    for i in free_order:
+        pool.release(first[i])
+    second = [pool.acquire() for _ in range(node_count)]
     return LifecycleReport(
         policy_kind=policy_kind,
         node_count=node_count,
         slot_size=slot_size,
         seed=seed,
         generator=GENERATOR_NAME,
-        first_traversal=first,
-        second_traversal=second,
+        first_traversal=measure(first, slot_size, line_size),
+        second_traversal=measure(second, slot_size, line_size),
     )
 
 
@@ -142,31 +155,19 @@ def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
                      line_size: int = DEFAULT_LINE_SIZE) -> LocalityReport:
     """Churn the pool around ``target_fill`` and report on a fresh acquire batch.
 
-    First fills to round(capacity * target_fill), then runs ``ops`` steps:
-    below target acquire, at or above target release a uniformly random
-    live slot.  The report covers the offsets of a final batch that
-    acquires all remaining free slots; with ops == 0 it covers the initial
-    fill instead.
+    Runs ``churn_steps``, then a final batch acquires all remaining free
+    slots; the report covers the batch's offsets.  With ops == 0 it
+    covers the initial fill instead.
     """
-    if not 0.0 <= target_fill < 1.0:
-        raise ValueError("target_fill must be in [0, 1)")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    rng = random.Random(seed)
+    steps = churn_steps(capacity, target_fill, ops, seed)
     pool = Pool(slot_size, capacity, policy_kind)
-
-    target = round(capacity * target_fill)
-    live = [pool.acquire() for _ in range(target)]
-    if ops == 0:
-        return measure(live, slot_size, line_size)
-
-    for _ in range(ops):
-        if len(live) < target or not live:
-            live.append(pool.acquire())
+    offsets = []  # by id
+    for k in steps:
+        if k is None:
+            offsets.append(pool.acquire())
         else:
-            victim = rng.randrange(len(live))
-            live[victim], live[-1] = live[-1], live[victim]
-            pool.release(live.pop())
-
-    batch = [pool.acquire() for _ in range(capacity - len(live))]
+            pool.release(offsets[k])
+    if ops == 0:
+        return measure(offsets, slot_size, line_size)
+    batch = [pool.acquire() for _ in range(pool.free_count)]
     return measure(batch, slot_size, line_size)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -157,3 +158,77 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "bench" in out
+
+
+# sha256 of the stdout of a fixed command set, each of which exits 0: any
+# change in CLI output fails here.  Change a digest only together with a
+# deliberate change of output.
+PINNED_ARGV = {
+    "lifecycle": ["--slots", "256", "--seed", "3"],
+    "churn": ["--slots", "128", "--fill", "0.7", "--ops", "500", "--seed", "3"],
+}
+PINNED_STDOUT_SHA256 = {
+    ("demo",):
+        "76d3694d2e9ba75b6f770c4df0650d0ce72c585b299a22b7e6a15813b2331ceb",
+    ("lifecycle", "bitmap", "json"):
+        "4a32102a84f3075ec966bb991cb2c2632ef7880f5bc377ff49c6820f82934a63",
+    ("lifecycle", "bitmap", "csv"):
+        "1e90087a7f07370684dbcd111694f514ef2bbc1323b5ccbafbb4752a4ae4df95",
+    ("lifecycle", "bitmap", "text"):
+        "ca35f2899a6b1bdb74e4ef26e74369b31e7883ba2c72c2c95afc7784d12f7607",
+    ("lifecycle", "freelist-lifo", "json"):
+        "9b1769376d63b2a8e1939bdfd90ae196b086745a15823064aea417b1a50d0acf",
+    ("lifecycle", "freelist-lifo", "csv"):
+        "3a3cb98d6fb891afa2dfa6bf4a6b02fa002ecb59418606bad6a041027643109b",
+    ("lifecycle", "freelist-lifo", "text"):
+        "4f27ad0e169efec8ef2ced4149450b201ad47359c5a2f43c37cb6f48b3da411b",
+    ("lifecycle", "freelist-fifo", "json"):
+        "dcfcf7666e6e429697b76699615ebef809f7cdb1014f47238437e350a0362dcd",
+    ("lifecycle", "freelist-fifo", "csv"):
+        "8034eb34eb42662f671cd4220a7677c3a142088de8e8b6d822e170b6a919b179",
+    ("lifecycle", "freelist-fifo", "text"):
+        "4ec7fa9d5efeb6085356b19834c5271ea1c8bdeb6553fe551819093251c11bde",
+    ("lifecycle", "linear-bitmap", "json"):
+        "2304f50431ba1af220e5a751622f5bcfa761b8ec1353080f8009b097025a0671",
+    ("lifecycle", "linear-bitmap", "csv"):
+        "1e90087a7f07370684dbcd111694f514ef2bbc1323b5ccbafbb4752a4ae4df95",
+    ("lifecycle", "linear-bitmap", "text"):
+        "5aa576bcb96ad3439a815b7624e00dc6c1a68da5661f9e7d0968feaf2d4ddcde",
+    ("churn", "bitmap", "json"):
+        "7032c23d0ea75d1fdd46794a4ffe70d956eee68b9809c6bb304218b011871321",
+    ("churn", "bitmap", "csv"):
+        "4b0c4459fe0f6f6f0799f2e06f4b79f09184d8997d261b5b8ecf6ea222a0d204",
+    ("churn", "bitmap", "text"):
+        "d1735cdddcb7599f414983d3b743a1978bc1a7cab6a36ee14b53ecd32358efba",
+    ("churn", "freelist-lifo", "json"):
+        "503089bd7e4dc6802c9e2afdffdf433c90e8dbdd432801e6de96d66ef5430cd6",
+    ("churn", "freelist-lifo", "csv"):
+        "4b0c4459fe0f6f6f0799f2e06f4b79f09184d8997d261b5b8ecf6ea222a0d204",
+    ("churn", "freelist-lifo", "text"):
+        "8fa47819a221f244d721660333c2f0bd6a312172b7abb55f17bc58ee87fb6d4c",
+    ("churn", "freelist-fifo", "json"):
+        "09ca0525307b4ad0a4ef7bba93c756e23505ef6576f5eaee1ccc41c277b84c95",
+    ("churn", "freelist-fifo", "csv"):
+        "4b0c4459fe0f6f6f0799f2e06f4b79f09184d8997d261b5b8ecf6ea222a0d204",
+    ("churn", "freelist-fifo", "text"):
+        "aa41fe91076cae139374698ce21d563e7cea4f19c2697458abe6f24ff27c948f",
+    ("churn", "linear-bitmap", "json"):
+        "b2a997c0553812a6fef9798527823e244a1d2d23f652cf4b5c1748cf4c245f7d",
+    ("churn", "linear-bitmap", "csv"):
+        "4b0c4459fe0f6f6f0799f2e06f4b79f09184d8997d261b5b8ecf6ea222a0d204",
+    ("churn", "linear-bitmap", "text"):
+        "4a842dd83ae1abfbf56c6ca29589462ae8168615e83c9f8b4795a316d00da757",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_STDOUT_SHA256, ids="-".join)
+def test_output_is_pinned(capsys, case):
+    if case == ("demo",):
+        argv = ["demo"]
+    else:
+        workload, allocator, fmt = case
+        argv = ["bench", "--workload", workload, *PINNED_ARGV[workload],
+                "--allocator", allocator, "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[case]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitfit import (
+    POLICY_KINDS,
     DuplicateId,
     ReplayError,
     TraceEvent,
@@ -12,7 +13,10 @@ from bitfit import (
     generate_trace,
     parse_trace,
     replay,
+    run_list_lifecycle,
+    run_random_churn,
 )
+from bitfit.workload import measure
 
 
 class TestParse:
@@ -26,6 +30,14 @@ class TestParse:
     def test_comments_and_blank_lines_skipped(self):
         events = parse_trace("# c\n\nalloc_hint b a\n")
         assert events == [TraceEvent("alloc_hint", "b", "a", 3)]
+
+    def test_tokens_split_on_any_whitespace(self):
+        events = parse_trace("alloc\ta\n  free \t a  \nalloc_hint\tb  a\n")
+        assert events == [
+            TraceEvent("alloc", "a", None, 1),
+            TraceEvent("free", "a", None, 2),
+            TraceEvent("alloc_hint", "b", "a", 3),
+        ]
 
     def test_missing_id_is_syntax_error(self):
         with pytest.raises(TraceSyntaxError) as err:
@@ -122,6 +134,40 @@ class TestGenerate:
         records = replay(parse_trace(text), "bitmap", 16)
         rebuild = [r.slot for r in records if r.event.id.startswith("m")]
         assert rebuild == list(range(16))
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("node_count,seed", [
+        (1, 0), (2, 1), (257, 0), (257, 1), (257, 2),
+    ])
+    def test_lifecycle_trace_reproduces_runner(self, kind, node_count, seed):
+        text = generate_trace("lifecycle", seed=seed, node_count=node_count)
+        records = replay(parse_trace(text), kind, node_count, 32)
+        offsets = [r.offset for r in records]
+        report = run_list_lifecycle(kind, node_count, 32, seed)
+        assert measure(offsets[:node_count], 32) == report.first_traversal
+        assert measure(offsets[node_count:], 32) == report.second_traversal
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("capacity,fill,ops,seed", [
+        (64, 0.6, 500, 0), (64, 0.6, 500, 1), (64, 0.6, 500, 2),
+        (100, 0.5, 0, 1),   # ops == 0: the report covers the initial fill
+        (64, 0.0, 50, 2),   # fill 0: every allocation is freed next step
+        (1, 0.0, 9, 0), (1, 0.7, 9, 3), (1, 0.7, 0, 0),  # capacity 1
+    ])
+    def test_churn_trace_reproduces_runner(self, kind, capacity, fill, ops,
+                                           seed):
+        text = generate_trace("churn", seed=seed, capacity=capacity,
+                              target_fill=fill, ops=ops)
+        events = parse_trace(text)
+        live = sum(1 if ev.op == "alloc" else -1 for ev in events)
+        refill = [TraceEvent("alloc", f"r{i}") for i in range(capacity - live)]
+        offsets = [r.offset for r in replay(events + refill, kind, capacity, 32)]
+        if ops == 0:
+            batch = offsets[:live]
+        else:
+            batch = offsets[len(offsets) - len(refill):]
+        assert measure(batch, 32) == run_random_churn(kind, capacity, fill,
+                                                      ops, seed, 32)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
