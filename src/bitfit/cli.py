@@ -166,17 +166,18 @@ def cmd_replay(args) -> int:
         body = {
             "kind": "replay",
             "records": [
-                {"line": r.event.line_no, "op": r.event.op, "id": r.event.id,
-                 "slot": r.slot, "offset": r.offset}
-                for r in records
+                {"line": line_no, "op": op, "id": id_, "slot": slot,
+                 "offset": offset}
+                for (op, id_, _, line_no), slot, offset in records
             ],
         }
         _emit_json({"command": "replay", "config": config, "reports": [body]})
     else:
-        # text and csv share the canonical record table
-        print("line,op,id,slot,offset")
-        for r in records:
-            print(f"{r.event.line_no},{r.event.op},{r.event.id},{r.slot},{r.offset}")
+        # text and csv share the canonical record table, written at once
+        rows = ["line,op,id,slot,offset\n"]
+        rows += [f"{line_no},{op},{id_},{slot},{offset}\n"
+                 for (op, id_, _, line_no), slot, offset in records]
+        sys.stdout.write("".join(rows))
     return 0
 
 

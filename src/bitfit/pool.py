@@ -14,14 +14,20 @@ POLICY_KINDS = ("bitmap", "freelist_lifo", "freelist_fifo", "linear_bitmap")
 
 
 def make_policy(kind: str, capacity: int):
-    if kind == "bitmap":
-        return BitTree(capacity)
-    if kind == "freelist_lifo":
-        return FreeListPolicy(capacity, order="lifo")
-    if kind == "freelist_fifo":
-        return FreeListPolicy(capacity, order="fifo")
-    if kind == "linear_bitmap":
-        return LinearBitmapPolicy(capacity)
+    try:
+        if kind == "bitmap":
+            return BitTree(capacity)
+        if kind == "freelist_lifo":
+            return FreeListPolicy(capacity, order="lifo")
+        if kind == "freelist_fifo":
+            return FreeListPolicy(capacity, order="fifo")
+        if kind == "linear_bitmap":
+            return LinearBitmapPolicy(capacity)
+    except (MemoryError, OverflowError) as exc:
+        # the bitmap policies allocate their bit array up front; a size
+        # past the index range overflows instead of running out of memory
+        raise ValueError(
+            f"a pool of {capacity} slots does not fit in memory") from exc
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
@@ -56,7 +62,7 @@ class Pool:
         return slot
 
     def acquire(self) -> int:
-        return self.offset_of(self.policy.allocate())
+        return self.policy.allocate() * self.slot_size
 
     def acquire_near(self, hint: int) -> int:
         """Allocate near the slot at byte offset ``hint``.
@@ -64,7 +70,7 @@ class Pool:
         Only the bitmap policy honors the hint; the other policies fall
         back to their plain allocation order.
         """
-        return self.offset_of(self.policy.allocate_with_hint(self.slot_of(hint)))
+        return self.policy.allocate_with_hint(self.slot_of(hint)) * self.slot_size
 
     def release(self, offset: int) -> None:
         self.policy.release(self.slot_of(offset))

@@ -10,11 +10,13 @@ Grammar, one event per line, tokens separated by any run of whitespace:
 ``[A-Za-z0-9_]+``.  Hints name live ids rather than raw slots, so the same
 trace replays through any policy.  ``generate_trace`` writes the schedule
 of a workload from ``workload`` as a trace.
+
+Events and replay records are named tuples, so they compare equal to
+plain tuples of their fields.
 """
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import (
     AllocatorError,
@@ -26,24 +28,33 @@ from .errors import (
 from .pool import Pool
 from .workload import churn_steps, lifecycle_free_order
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-
 ALLOC, FREE, ALLOC_HINT = "alloc", "free", "alloc_hint"
 
+_ID = r"([A-Za-z0-9_]+)"
+# The whole grammar of one line.  Groups: 1 op, 2 set only for alloc_hint,
+# 3 id, 4 hint id; a blank or comment line matches with every group None.
+_LINE_RE = re.compile(
+    rf"\s*(?:((alloc_hint)|alloc|free)\s+{_ID}(?(2)\s+{_ID})\s*|#.*)?")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_ARITY = {ALLOC: 2, FREE: 2, ALLOC_HINT: 3}
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     op: str
     id: str
     hint_id: Optional[str] = None
     line_no: int = 0
 
 
-@dataclass(frozen=True)
-class ReplayRecord:
+class ReplayRecord(NamedTuple):
     event: TraceEvent
     slot: int
     offset: int
+
+
+# Builds a named tuple from all of its fields at half the cost of calling
+# the class, whose __new__ is a Python function; the hot loops use it.
+_make = tuple.__new__
 
 
 def decode_trace(data: bytes) -> str:
@@ -61,25 +72,26 @@ def decode_trace(data: bytes) -> str:
 
 def parse_trace(text: str) -> List[TraceEvent]:
     events = []
+    append = events.append
+    match = _LINE_RE.fullmatch
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        op = tokens[0]
-        if op == ALLOC and len(tokens) == 2:
-            event = TraceEvent(ALLOC, tokens[1], None, line_no)
-        elif op == FREE and len(tokens) == 2:
-            event = TraceEvent(FREE, tokens[1], None, line_no)
-        elif op == ALLOC_HINT and len(tokens) == 3:
-            event = TraceEvent(ALLOC_HINT, tokens[1], tokens[2], line_no)
-        else:
-            raise TraceSyntaxError(line_no, f"cannot parse {raw!r}")
-        for token in tokens[1:]:
-            if not _ID_RE.match(token):
-                raise TraceSyntaxError(line_no, f"bad id {token!r}")
-        events.append(event)
+        m = match(raw)
+        if m is None:
+            raise _syntax_error(line_no, raw)
+        op, _, id_, hint_id = m.groups()
+        if op is not None:
+            append(_make(TraceEvent, (op, id_, hint_id, line_no)))
     return events
+
+
+def _syntax_error(line_no: int, raw: str) -> TraceSyntaxError:
+    """The error for a line ``_LINE_RE`` rejects: a wrong op or token count
+    is reported before a bad id."""
+    tokens = raw.split()
+    if _ARITY.get(tokens[0]) != len(tokens):
+        return TraceSyntaxError(line_no, f"cannot parse {raw!r}")
+    bad = next(token for token in tokens[1:] if not _ID_RE.match(token))
+    return TraceSyntaxError(line_no, f"bad id {bad!r}")
 
 
 def format_trace(events: Sequence[TraceEvent]) -> str:
@@ -100,27 +112,32 @@ def replay(events: Sequence[TraceEvent], policy_kind: str, capacity: int,
     surface as ReplayError carrying the trace line.
     """
     pool = Pool(slot_size, capacity, policy_kind)
+    acquire, acquire_near, release = pool.acquire, pool.acquire_near, pool.release
     live = {}
     records = []
+    append = records.append
     for ev in events:
+        op, id_, hint_id, line_no = ev
         try:
-            if ev.op == FREE:
-                if ev.id not in live:
-                    raise UnknownId(ev.line_no, f"free of unknown id {ev.id!r}")
-                pool.release(live.pop(ev.id))
+            if op == FREE:
+                offset = live.pop(id_, None)
+                if offset is None:
+                    raise UnknownId(line_no, f"free of unknown id {id_!r}")
+                release(offset)
                 continue
-            if ev.id in live:
-                raise DuplicateId(ev.line_no, f"alloc of live id {ev.id!r}")
-            if ev.op == ALLOC_HINT:
-                if ev.hint_id not in live:
-                    raise UnknownId(ev.line_no, f"hint names unknown id {ev.hint_id!r}")
-                offset = pool.acquire_near(live[ev.hint_id])
+            if id_ in live:
+                raise DuplicateId(line_no, f"alloc of live id {id_!r}")
+            if op == ALLOC_HINT:
+                hint = live.get(hint_id)
+                if hint is None:
+                    raise UnknownId(line_no, f"hint names unknown id {hint_id!r}")
+                offset = acquire_near(hint)
             else:
-                offset = pool.acquire()
+                offset = acquire()
         except AllocatorError as exc:
-            raise ReplayError(ev.line_no, str(exc)) from exc
-        live[ev.id] = offset
-        records.append(ReplayRecord(ev, offset // slot_size, offset))
+            raise ReplayError(line_no, str(exc)) from exc
+        live[id_] = offset
+        append(_make(ReplayRecord, (ev, offset // slot_size, offset)))
     return records
 
 

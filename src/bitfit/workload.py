@@ -133,8 +133,8 @@ def _churn_schedule(target: int, ops: int,
 def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
                        seed: int, line_size: int = DEFAULT_LINE_SIZE) -> LifecycleReport:
     """Fill / free in value order / refill, measuring both fills."""
+    pool = Pool(slot_size, node_count, policy_kind)  # fails fast on a huge pool
     free_order = lifecycle_free_order(node_count, seed)
-    pool = Pool(slot_size, node_count, policy_kind)
     first = [pool.acquire() for _ in range(node_count)]
     for i in free_order:
         pool.release(first[i])

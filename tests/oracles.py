@@ -1,9 +1,12 @@
-"""Independent reference implementations used to check the tree allocator.
+"""Independent reference implementations used to check the tree allocator
+and the trace parser.
 
-Everything here works on a plain leaf-occupancy list (index = slot in
-[0, n_leaves), value 0/1 with phantom padding included) and never touches
+The tree references work on a plain leaf-occupancy list (index = slot in
+[0, n_leaves), value 0/1 with phantom padding included) and never touch
 the packed tree, so agreement between the two is meaningful.
 """
+
+import re
 
 
 def leaves_of(tree):
@@ -80,3 +83,34 @@ def smallest_free_subtree_on_path(leaves, hint):
         else:
             lo = mid
     return best
+
+
+_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+
+
+def parse_trace_reference(text):
+    """The token-by-token trace parser: strip, skip blanks and comments,
+    split on whitespace, check the op and its arity, then every id."""
+    # imported here: bench/test_bench.py imports this module without bitfit
+    from bitfit import TraceEvent, TraceSyntaxError
+
+    events = []
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        op = tokens[0]
+        if op == "alloc" and len(tokens) == 2:
+            event = TraceEvent("alloc", tokens[1], None, line_no)
+        elif op == "free" and len(tokens) == 2:
+            event = TraceEvent("free", tokens[1], None, line_no)
+        elif op == "alloc_hint" and len(tokens) == 3:
+            event = TraceEvent("alloc_hint", tokens[1], tokens[2], line_no)
+        else:
+            raise TraceSyntaxError(line_no, f"cannot parse {raw!r}")
+        for token in tokens[1:]:
+            if not _ID_RE.match(token):
+                raise TraceSyntaxError(line_no, f"bad id {token!r}")
+        events.append(event)
+    return events

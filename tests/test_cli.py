@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import jsonschema
 import pytest
 
+from bitfit import cli, trace, workload
 from bitfit.cli import LOCALITY_FIELDS, REPORT_SCHEMA, main
 
 
@@ -133,6 +135,54 @@ class TestReplay:
         ]
 
 
+    def test_trace_layer_is_called_through_module_globals(
+            self, capsys, monkeypatch, tmp_path):
+        # bench/tracing.py times the parse and replay layers by replacing
+        # these names in bitfit.cli; a call that bypassed them would leave
+        # those per-layer metrics at zero
+        assert cli.parse_trace is trace.parse_trace
+        assert cli.replay is trace.replay
+        calls = []
+        for name in ("parse_trace", "replay"):
+            def spy(*args, _name=name, _fn=getattr(trace, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        path = self.write_trace(tmp_path, "alloc a\n")
+        code, out, _ = run_cli(capsys, "replay", "--trace", path)
+        assert code == 0 and out.endswith("1,alloc,a,0,0\n")
+        assert calls == ["parse_trace", "replay"]
+
+
+class TestPoolTooLarge:
+    """A bitmap pool allocates its bit array up front: a pool that cannot
+    be allocated (2**61 slots) or indexed (2**70) is an error naming the
+    slot count.  The free lists are lazy, so these sizes would run.  The
+    lifecycle must build its pool before it draws one value per node, and
+    a stand-in for the draw fails the test instead of running that loop."""
+
+    @pytest.mark.parametrize("slots", [2**61, 2**70])
+    @pytest.mark.parametrize("allocator", ["bitmap", "linear-bitmap"])
+    @pytest.mark.parametrize("command", [
+        ["replay", "--trace", "trace.txt"],
+        ["bench", "--workload", "lifecycle"],
+        ["bench", "--workload", "churn"],
+    ], ids=lambda argv: argv[0] + "-" + argv[2].split(".")[0])
+    def test_exits_one_naming_slots(self, capsys, monkeypatch, tmp_path,
+                                    command, allocator, slots):
+        def free_order_drawn(*args):
+            raise AssertionError("lifecycle free order drawn before the pool")
+
+        monkeypatch.setattr(workload, "lifecycle_free_order", free_order_drawn)
+        (tmp_path / "trace.txt").write_text("alloc a\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *command, "--allocator", allocator,
+                                 "--slots", str(slots))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: a pool of {slots} slots does not fit in memory\n"
+
+
 class TestDemo:
     def test_first_allocation_state(self, capsys):
         code, out, _ = run_cli(capsys, "demo")
@@ -158,6 +208,35 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "bench" in out
+
+
+def hinted_churn_trace(events=600, capacity=96, seed=5):
+    """A seeded churn trace around 70 % fill with about a third of the
+    allocations hinted at a random live id.  It is generated here rather
+    than by ``generate_trace`` so that its text never changes."""
+    rng = random.Random(seed)
+    live, lines = [], []
+    for n in range(events):
+        if live and (len(live) >= 0.7 * capacity or rng.random() < 0.3):
+            lines.append(f"free {live.pop(rng.randrange(len(live)))}")
+        elif live and rng.random() < 0.4:
+            lines.append(f"alloc_hint c{n} {rng.choice(live)}")
+            live.append(f"c{n}")
+        else:
+            lines.append(f"alloc c{n}")
+            live.append(f"c{n}")
+    return "\n".join(lines) + "\n"
+
+
+# comments, blank lines, tabs and runs of spaces around the tokens
+LOOSE_TRACE = ("# replay fixture\n\nalloc a\n\talloc_hint b\ta\n"
+               "   # indented comment\nalloc c   \nfree a\n\n\n"
+               "alloc_hint  d \t c\n\tfree\tb\t\nalloc e\nalloc_hint f e")
+
+PINNED_TRACES = {
+    "hinted_churn": (hinted_churn_trace(), "96"),
+    "loose": (LOOSE_TRACE, "8"),
+}
 
 
 # sha256 of the stdout of a fixed command set, each of which exits 0: any
@@ -218,13 +297,70 @@ PINNED_STDOUT_SHA256 = {
         "4b0c4459fe0f6f6f0799f2e06f4b79f09184d8997d261b5b8ecf6ea222a0d204",
     ("churn", "linear-bitmap", "text"):
         "4a842dd83ae1abfbf56c6ca29589462ae8168615e83c9f8b4795a316d00da757",
+    ("hinted_churn", "bitmap", "json"):
+        "11b207e2dad5d96d2e67a7a38147e0e0a6ab810ce984e6439b15a737c5527d5c",
+    ("hinted_churn", "bitmap", "csv"):
+        "a9d2ef10627c10f45676074491f1c0ebec931ecfc858a7e02eed8085d1d841a1",
+    ("hinted_churn", "bitmap", "text"):
+        "a9d2ef10627c10f45676074491f1c0ebec931ecfc858a7e02eed8085d1d841a1",
+    ("hinted_churn", "freelist-lifo", "json"):
+        "62dade872dfdfcb398b565ed4bb8cf3f911a59b823916caf30f0f4380d231f88",
+    ("hinted_churn", "freelist-lifo", "csv"):
+        "a36e6488aff0cf5d99279d2c2e48f020124e1cc6fce8240e971cbd3f75cc2adb",
+    ("hinted_churn", "freelist-lifo", "text"):
+        "a36e6488aff0cf5d99279d2c2e48f020124e1cc6fce8240e971cbd3f75cc2adb",
+    ("hinted_churn", "freelist-fifo", "json"):
+        "6e7bcf3bb5a15382c6a5344d438a08e32bf0ee9a1b0b11e0652ba36f5cecb482",
+    ("hinted_churn", "freelist-fifo", "csv"):
+        "d16518d3277e3305ad28ded74dd629245e2ea4cebd2f1e064be4e9621d6ae2ce",
+    ("hinted_churn", "freelist-fifo", "text"):
+        "d16518d3277e3305ad28ded74dd629245e2ea4cebd2f1e064be4e9621d6ae2ce",
+    ("hinted_churn", "linear-bitmap", "json"):
+        "b10bfbcfc7821277301ef9c27d1e1e5a7ae0b52c294b35d3a9f0c9db629f5864",
+    ("hinted_churn", "linear-bitmap", "csv"):
+        "49b8899a0cd13bf8a305624512b370634acd87df99d4f6f9351675d0f04b271c",
+    ("hinted_churn", "linear-bitmap", "text"):
+        "49b8899a0cd13bf8a305624512b370634acd87df99d4f6f9351675d0f04b271c",
+    ("loose", "bitmap", "json"):
+        "6722f32c832726e9fffc78fc3192abb9d7d15fd7fb6d3355c69ca315600cc866",
+    ("loose", "bitmap", "csv"):
+        "761d835e0e72ca2007abd17e12d129aaee0901aac08c2ae8e565be1ff3e86c77",
+    ("loose", "bitmap", "text"):
+        "761d835e0e72ca2007abd17e12d129aaee0901aac08c2ae8e565be1ff3e86c77",
+    ("loose", "freelist-lifo", "json"):
+        "21f067535795a5803ad2597a117383d1d2e7d0b61fef555607f7f8944eea7aa4",
+    ("loose", "freelist-lifo", "csv"):
+        "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
+    ("loose", "freelist-lifo", "text"):
+        "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
+    ("loose", "freelist-fifo", "json"):
+        "8745622c62bffa822ddb4645691d48e4309aa69694bac871252809912ff2d9b9",
+    ("loose", "freelist-fifo", "csv"):
+        "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
+    ("loose", "freelist-fifo", "text"):
+        "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
+    ("loose", "linear-bitmap", "json"):
+        "11650022d0af18af016df7fdff134769ff19a8162ede7d7ce24fb0b3cd24a6f4",
+    ("loose", "linear-bitmap", "csv"):
+        "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
+    ("loose", "linear-bitmap", "text"):
+        "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
 }
 
 
 @pytest.mark.parametrize("case", PINNED_STDOUT_SHA256, ids="-".join)
-def test_output_is_pinned(capsys, case):
+def test_output_is_pinned(capsys, monkeypatch, tmp_path, case):
     if case == ("demo",):
         argv = ["demo"]
+    elif case[0] in PINNED_TRACES:
+        # the JSON config echoes the trace path, so it must not vary
+        name, allocator, fmt = case
+        text, slots = PINNED_TRACES[name]
+        (tmp_path / "trace.txt").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = ["replay", "--trace", "trace.txt", "--slots", slots,
+                "--slot-size", "16", "--allocator", allocator,
+                "--format", fmt]
     else:
         workload, allocator, fmt = case
         argv = ["bench", "--workload", workload, *PINNED_ARGV[workload],

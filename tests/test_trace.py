@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfit import (
@@ -17,6 +17,7 @@ from bitfit import (
     run_random_churn,
 )
 from bitfit.workload import measure
+from oracles import parse_trace_reference
 
 
 class TestParse:
@@ -52,6 +53,47 @@ class TestParse:
         with pytest.raises(TraceSyntaxError) as err:
             parse_trace("alloc a\nrealloc a\n")
         assert err.value.line_no == 2
+
+    # Lines are drawn from ops, ids, invalid and non-ASCII tokens and
+    # whitespace that str.split and the regex \s both split on; line breaks
+    # include those str.splitlines adds to "\n".  Most lines are an op and
+    # its arguments with some tokens swapped for bad ones, the rest are
+    # free-form, so both valid traces and each error occur often.
+    OPS = ["alloc", "free", "alloc_hint"]
+    IDS = ["a", "b_1", "Z9"]
+    ODD = ["#", "!", "é", "a!", "#x", "realloc"]
+    SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+    BREAKS = ["\n", "\r\n", "\r", "\x1c", "\x85", "\u2028"]
+    space = st.lists(st.sampled_from(SPACES), min_size=1, max_size=3).map("".join)
+    pad = st.just("") | space
+    event = st.tuples(
+        pad, st.sampled_from(OPS * 3 + ODD),
+        st.lists(st.tuples(space, st.sampled_from(IDS * 2 + ODD)).map("".join),
+                 min_size=1, max_size=2),
+        pad,
+    ).map(lambda p: p[0] + p[1] + "".join(p[2]) + p[3])
+    loose = st.lists(st.sampled_from(OPS + IDS + ODD) | space,
+                     max_size=5).map("".join)
+    line = event | event | loose
+    trace = st.tuples(
+        st.lists(st.tuples(line, st.sampled_from(BREAKS)), max_size=6), line,
+    ).map(lambda parts: "".join(a + b for a, b in parts[0]) + parts[1])
+
+    @given(text=trace)
+    @example(text="alloc a\nalloc é")
+    @example(text="alloc_hint\u3000b\xa0a\x1f\nfree a!")
+    @example(text="free\x1fa\x85alloc\ta b")
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_parser(self, text):
+        try:
+            expected = parse_trace_reference(text)
+        except TraceSyntaxError as exc:
+            with pytest.raises(TraceSyntaxError) as err:
+                parse_trace(text)
+            assert type(err.value) is TraceSyntaxError
+            assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
+        else:
+            assert parse_trace(text) == expected
 
 
 class TestRoundTrip:
