@@ -6,6 +6,7 @@ identical flags produce byte-identical output unless --timestamp is given.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -59,6 +60,7 @@ def _policy_kind(allocator: str) -> str:
     return allocator.replace("-", "_")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitfit",

@@ -6,29 +6,38 @@ memory: locality metrics depend only on address geometry, so offsets from
 a zero base are the public currency.
 """
 
+from functools import partial
+
 from .baselines import FreeListPolicy, LinearBitmapPolicy
 from .bittree import BitTree
 from .errors import Misaligned, OutOfRange
 
-POLICY_KINDS = ("bitmap", "freelist_lifo", "freelist_fifo", "linear_bitmap")
+# one constructor per policy kind, called with the capacity
+POLICIES = {
+    "bitmap": BitTree,
+    "freelist_lifo": partial(FreeListPolicy, order="lifo"),
+    "freelist_fifo": partial(FreeListPolicy, order="fifo"),
+    "linear_bitmap": LinearBitmapPolicy,
+}
+POLICY_KINDS = tuple(POLICIES)
+
+
+def too_large(capacity: int) -> ValueError:
+    """The error for a pool whose O(capacity) storage cannot be made: a
+    ``MemoryError``, or an ``OverflowError`` for a size past the index
+    range."""
+    return ValueError(f"a pool of {capacity} slots does not fit in memory")
 
 
 def make_policy(kind: str, capacity: int):
+    constructor = POLICIES.get(kind)
+    if constructor is None:
+        raise ValueError(f"unknown policy kind {kind!r}")
     try:
-        if kind == "bitmap":
-            return BitTree(capacity)
-        if kind == "freelist_lifo":
-            return FreeListPolicy(capacity, order="lifo")
-        if kind == "freelist_fifo":
-            return FreeListPolicy(capacity, order="fifo")
-        if kind == "linear_bitmap":
-            return LinearBitmapPolicy(capacity)
+        # the bitmap policies allocate their bit array up front
+        return constructor(capacity)
     except (MemoryError, OverflowError) as exc:
-        # the bitmap policies allocate their bit array up front; a size
-        # past the index range overflows instead of running out of memory
-        raise ValueError(
-            f"a pool of {capacity} slots does not fit in memory") from exc
-    raise ValueError(f"unknown policy kind {kind!r}")
+        raise too_large(capacity) from exc
 
 
 class Pool:

@@ -17,9 +17,10 @@ gap.
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence
 
-from .pool import Pool
+from .pool import Pool, too_large
 
 GENERATOR_NAME = "mt19937"  # random.Random; identity recorded in reports
 
@@ -83,15 +84,29 @@ def measure(offsets: Sequence[int], slot_size: int,
 def lifecycle_free_order(node_count: int, seed: int) -> List[int]:
     """Node indices in the order the lifecycle frees them.
 
-    Node ``i`` gets the ``i``-th value drawn with ``randint(0, 100)``, and
-    the nodes are freed in value order.  The sort is stable, so equal
-    values keep allocation order and the order is fully deterministic.
+    Node ``i`` gets the ``i``-th value drawn with ``randint(0, 100)`` from
+    ``random.Random(seed)``, and the nodes are freed in value order, equal
+    values in allocation order (a stable sort), so the order is fully
+    deterministic.
+
+    The draw is spelled out rather than called: CPython's ``randint(0,
+    100)`` takes ``getrandbits(7)`` and draws again while the value is
+    above 100, and doing that here saves four Python frames per node.
+    Filing each node under its value in one of 101 lists, in draw order,
+    and concatenating the lists is the stable sort without a sort.  The
+    tests compare this with ``randint`` and ``sorted``, which would catch
+    a Python whose ``randint`` draws differently.
     """
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    rng = random.Random(seed)
-    values = [rng.randint(0, 100) for _ in range(node_count)]
-    return sorted(range(node_count), key=values.__getitem__)
+    getrandbits = random.Random(seed).getrandbits
+    by_value = [[] for _ in range(101)]
+    for i in range(node_count):
+        value = getrandbits(7)
+        while value > 100:
+            value = getrandbits(7)
+        by_value[value].append(i)
+    return list(chain.from_iterable(by_value))
 
 
 def churn_steps(capacity: int, target_fill: float, ops: int,
@@ -132,13 +147,26 @@ def _churn_schedule(target: int, ops: int,
 
 def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
                        seed: int, line_size: int = DEFAULT_LINE_SIZE) -> LifecycleReport:
-    """Fill / free in value order / refill, measuring both fills."""
-    pool = Pool(slot_size, node_count, policy_kind)  # fails fast on a huge pool
+    """Fill / free in value order / refill, measuring both fills.
+
+    The pool and both lists of offsets are made before the first draw and
+    the first acquire, so a pool too large for memory fails at once, also
+    under a free-list policy, which allocates nothing up front.
+    """
+    pool = Pool(slot_size, node_count, policy_kind)
+    try:
+        first = [0] * node_count
+        second = [0] * node_count
+    except (MemoryError, OverflowError) as exc:
+        raise too_large(node_count) from exc
     free_order = lifecycle_free_order(node_count, seed)
-    first = [pool.acquire() for _ in range(node_count)]
+    acquire, release = pool.acquire, pool.release
+    for i in range(node_count):
+        first[i] = acquire()
     for i in free_order:
-        pool.release(first[i])
-    second = [pool.acquire() for _ in range(node_count)]
+        release(first[i])
+    for i in range(node_count):
+        second[i] = acquire()
     return LifecycleReport(
         policy_kind=policy_kind,
         node_count=node_count,

@@ -1,11 +1,12 @@
-"""Independent reference implementations used to check the tree allocator
-and the trace parser.
+"""Independent reference implementations used to check the tree allocator,
+the trace parser and the lifecycle's free order.
 
 The tree references work on a plain leaf-occupancy list (index = slot in
 [0, n_leaves), value 0/1 with phantom padding included) and never touch
 the packed tree, so agreement between the two is meaningful.
 """
 
+import random
 import re
 
 
@@ -114,3 +115,11 @@ def parse_trace_reference(text):
                 raise TraceSyntaxError(line_no, f"bad id {token!r}")
         events.append(event)
     return events
+
+
+def lifecycle_free_order_reference(node_count, seed):
+    """The lifecycle's free order by its definition: one ``randint(0, 100)``
+    per node from ``random.Random(seed)``, then a stable sort by value."""
+    rng = random.Random(seed)
+    values = [rng.randint(0, 100) for _ in range(node_count)]
+    return sorted(range(node_count), key=values.__getitem__)

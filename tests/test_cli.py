@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -75,6 +76,25 @@ class TestBench:
     def test_text_format_mentions_both_traversals(self, capsys):
         _, out, _ = run_cli(capsys, "bench", "--slots", "64")
         assert "first_traversal" in out and "second_traversal" in out
+
+    def test_lifecycle_layers_are_called_through_module_globals(
+            self, capsys, monkeypatch):
+        # bench/tracing.py times these layers by replacing the names in
+        # bitfit.cli and bitfit.workload, and a stand-in for the free order
+        # is put there too; a call that bypassed them would go unseen
+        assert cli.run_list_lifecycle is workload.run_list_lifecycle
+        calls = []
+        for module, name in ((cli, "run_list_lifecycle"),
+                             (workload, "lifecycle_free_order"),
+                             (workload, "measure")):
+            def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        code, _, _ = run_cli(capsys, "bench", "--slots", "8")
+        assert code == 0
+        assert calls == ["run_list_lifecycle", "lifecycle_free_order",
+                         "measure", "measure"]
 
 
 class TestReplay:
@@ -155,19 +175,24 @@ class TestReplay:
 
 
 class TestPoolTooLarge:
-    """A bitmap pool allocates its bit array up front: a pool that cannot
-    be allocated (2**61 slots) or indexed (2**70) is an error naming the
-    slot count.  The free lists are lazy, so these sizes would run.  The
-    lifecycle must build its pool before it draws one value per node, and
-    a stand-in for the draw fails the test instead of running that loop."""
+    """A pool that cannot be allocated (2**61 slots) or indexed (2**70) is
+    an error naming the slot count.  A bitmap pool allocates its bit array
+    up front.  The free lists are lazy, so replay and churn would run with
+    them; the lifecycle makes its lists of offsets before it draws one
+    value per node, and a stand-in for the draw fails the test instead of
+    running that loop."""
 
     @pytest.mark.parametrize("slots", [2**61, 2**70])
-    @pytest.mark.parametrize("allocator", ["bitmap", "linear-bitmap"])
-    @pytest.mark.parametrize("command", [
-        ["replay", "--trace", "trace.txt"],
-        ["bench", "--workload", "lifecycle"],
-        ["bench", "--workload", "churn"],
-    ], ids=lambda argv: argv[0] + "-" + argv[2].split(".")[0])
+    @pytest.mark.parametrize("command, allocator", [
+        *((command, allocator)
+          for command in (["replay", "--trace", "trace.txt"],
+                          ["bench", "--workload", "lifecycle"],
+                          ["bench", "--workload", "churn"])
+          for allocator in ("bitmap", "linear-bitmap")),
+        *((["bench", "--workload", "lifecycle"], allocator)
+          for allocator in ("freelist-lifo", "freelist-fifo")),
+    ], ids=lambda value: (value if isinstance(value, str) else
+                          value[0] + "-" + value[2].split(".")[0]))
     def test_exits_one_naming_slots(self, capsys, monkeypatch, tmp_path,
                                     command, allocator, slots):
         def free_order_drawn(*args):
@@ -246,7 +271,21 @@ PINNED_ARGV = {
     "lifecycle": ["--slots", "256", "--seed", "3"],
     "churn": ["--slots", "128", "--fill", "0.7", "--ops", "500", "--seed", "3"],
 }
+# ("benchmark", allocator, seed) is the lifecycle run of bench/run.py: its
+# bitmap row is timed and its freelist-lifo row is the contrast
 PINNED_STDOUT_SHA256 = {
+    ("benchmark", "bitmap", "1"):
+        "004637cb2cc398c66dc6df2e51db1850db7118b46c22f16a1a2e3969fc75d3a2",
+    ("benchmark", "bitmap", "2"):
+        "f70072ddfb909e5e097a59b9d165431db4460824df5264da54034fcbd9385309",
+    ("benchmark", "bitmap", "3"):
+        "6c00ca27c227964937e79bef8e0eed6e43aea96d94f871e4b8a20b37ac5035e1",
+    ("benchmark", "freelist-lifo", "1"):
+        "2dc24eb04dc1885bc248dc55cdaa822ebd46746be7d0b2227a3dae84591f06bc",
+    ("benchmark", "freelist-lifo", "2"):
+        "00982a68e17b902b132c197a5026903213f8c24a16e11c263ce319ba372bab1e",
+    ("benchmark", "freelist-lifo", "3"):
+        "107b54352f2b604ce320908037ebc636efc546d3c8ffab567970493f8d0a8c24",
     ("demo",):
         "76d3694d2e9ba75b6f770c4df0650d0ce72c585b299a22b7e6a15813b2331ceb",
     ("lifecycle", "bitmap", "json"):
@@ -348,11 +387,27 @@ PINNED_STDOUT_SHA256 = {
 }
 
 
+def pinned_argv(case):
+    """The command of a pinned bench or demo case."""
+    if case == ("demo",):
+        return ["demo"]
+    if case[0] == "benchmark":
+        _, allocator, seed = case
+        return ["bench", "--workload", "lifecycle", "--allocator", allocator,
+                "--slots", "4096", "--slot-size", "32", "--format", "json",
+                "--seed", seed]
+    workload, allocator, fmt = case
+    return ["bench", "--workload", workload, *PINNED_ARGV[workload],
+            "--allocator", allocator, "--format", fmt]
+
+
+def sha256_of(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", PINNED_STDOUT_SHA256, ids="-".join)
 def test_output_is_pinned(capsys, monkeypatch, tmp_path, case):
-    if case == ("demo",):
-        argv = ["demo"]
-    elif case[0] in PINNED_TRACES:
+    if case[0] in PINNED_TRACES:
         # the JSON config echoes the trace path, so it must not vary
         name, allocator, fmt = case
         text, slots = PINNED_TRACES[name]
@@ -362,9 +417,49 @@ def test_output_is_pinned(capsys, monkeypatch, tmp_path, case):
                 "--slot-size", "16", "--allocator", allocator,
                 "--format", fmt]
     else:
-        workload, allocator, fmt = case
-        argv = ["bench", "--workload", workload, *PINNED_ARGV[workload],
-                "--allocator", allocator, "--format", fmt]
+        argv = pinned_argv(case)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[case]
+    assert sha256_of(out) == PINNED_STDOUT_SHA256[case]
+
+
+class TestOneParserPerProcess:
+    """``main`` reuses one parser, so no call may leave state in it."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, "demo")[0] == 0
+        after_first = list(built)
+        assert run_cli(capsys, "bench", "--slots", "8")[0] == 0
+        # the top-level parser and one per subcommand, all from the first call
+        assert built == after_first
+        assert built.count("bitfit") == 1
+
+    def test_timestamp_does_not_leak(self, capsys):
+        argv = ["bench", "--slots", "8", "--format", "json"]
+        _, out, _ = run_cli(capsys, *argv, "--timestamp")
+        assert "timestamp" in json.loads(out)["config"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert "timestamp" not in json.loads(out)["config"]
+
+    @pytest.mark.parametrize("bad", [
+        ["bench", "--workload", "churn", "--seed", "9", "--fill", "2"],
+        ["bench", "--allocator", "freelist-fifo", "--slots", "0"],
+        ["replay", "--allocator", "linear-bitmap", "--format", "csv"],
+    ])
+    def test_usage_error_leaves_no_state(self, capsys, bad):
+        code, out, _ = run_cli(capsys, *bad)
+        assert code == 2 and out == ""
+        for case in (("lifecycle", "bitmap", "json"),
+                     ("churn", "freelist-lifo", "text")):
+            code, out, _ = run_cli(capsys, *pinned_argv(case))
+            assert code == 0
+            assert sha256_of(out) == PINNED_STDOUT_SHA256[case]

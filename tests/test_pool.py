@@ -10,7 +10,9 @@ from bitfit import (
     OutOfRange,
     Pool,
     PoolExhausted,
+    make_policy,
 )
+from bitfit.cli import ALLOCATOR_CHOICES
 
 
 class TestConstruction:
@@ -148,3 +150,17 @@ def test_policy_interchangeability_legality_only():
                 trace.append(type(exc).__name__)
         outcomes.append(trace)
     assert all(t == outcomes[0] for t in outcomes[1:])
+
+
+class TestPolicyTable:
+    def test_kinds_keep_their_order(self):
+        # the order of the CLI's --allocator choices and of its --help
+        assert POLICY_KINDS == (
+            "bitmap", "freelist_lifo", "freelist_fifo", "linear_bitmap")
+        assert ALLOCATOR_CHOICES == (
+            "bitmap", "freelist-lifo", "freelist-fifo", "linear-bitmap")
+
+    @pytest.mark.parametrize("capacity", [8, 2 ** 70])
+    def test_unknown_kind(self, capacity):
+        with pytest.raises(ValueError, match=r"^unknown policy kind 'slab'$"):
+            make_policy("slab", capacity)

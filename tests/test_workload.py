@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitfit import (
     POLICY_KINDS,
@@ -11,6 +13,8 @@ from bitfit import (
     run_random_churn,
     sequential_fraction,
 )
+from bitfit.workload import lifecycle_free_order
+from oracles import lifecycle_free_order_reference
 
 
 class TestSequentialFraction:
@@ -97,6 +101,21 @@ class TestLifecycle:
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
             run_list_lifecycle("bitmap", 0, 32, 0)
+
+
+class TestLifecycleFreeOrder:
+    @given(node_count=st.one_of(st.integers(1, 600), st.just(4096)),
+           seed=st.integers(0, 2 ** 32))
+    @example(node_count=4096, seed=0)
+    @example(node_count=1, seed=2 ** 32)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_randint_and_stable_sort(self, node_count, seed):
+        assert (lifecycle_free_order(node_count, seed)
+                == lifecycle_free_order_reference(node_count, seed))
+
+    def test_node_count_validated(self):
+        with pytest.raises(ValueError, match="node_count must be >= 1"):
+            lifecycle_free_order(0, 0)
 
 
 class TestChurn:
