@@ -63,10 +63,6 @@ class FreeListPolicy(_HintIgnoringPolicy):
         self.free_sequence.append(slot)
         self._free_set.add(slot)
 
-    def is_slot_free(self, slot: int) -> bool:
-        check_range(slot, self.capacity)
-        return slot >= self.next_fresh or slot in self._free_set
-
 
 class LinearBitmapPolicy(_HintIgnoringPolicy):
     """First-fit over a flat occupancy byte array, scanned left to right.
@@ -96,7 +92,3 @@ class LinearBitmapPolicy(_HintIgnoringPolicy):
             raise DoubleFree(f"slot {slot} is already free")
         self.leaf_bits[slot] = 0
         self.free_count += 1
-
-    def is_slot_free(self, slot: int) -> bool:
-        check_range(slot, self.capacity)
-        return self.leaf_bits[slot] == 0

@@ -6,6 +6,7 @@ identical flags produce byte-identical output unless --timestamp is given.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -15,7 +16,7 @@ from .bittree import BitTree
 from .errors import AllocatorError, TraceError
 from .pool import POLICY_KINDS
 from .trace import decode_trace, parse_trace, replay
-from .workload import run_list_lifecycle, run_random_churn
+from .workload import LocalityReport, run_list_lifecycle, run_random_churn
 
 ALLOCATOR_CHOICES = tuple(kind.replace("_", "-") for kind in POLICY_KINDS)
 
@@ -30,9 +31,7 @@ REPORT_SCHEMA = {
     },
 }
 
-LOCALITY_FIELDS = (
-    "sequential_fraction", "distinct_lines", "mean_abs_gap", "traversal_len",
-)
+LOCALITY_FIELDS = tuple(field.name for field in dataclasses.fields(LocalityReport))
 
 
 def _positive_int(text: str) -> int:
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p):  # bench and replay; demo reads no flag
         p.add_argument("--allocator", choices=ALLOCATOR_CHOICES, default="bitmap")
         p.add_argument("--slots", type=_positive_int, default=1024)
         p.add_argument("--slot-size", type=_positive_int, default=32)
@@ -91,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(rep)
     rep.add_argument("--trace", required=True, help="path to the trace file")
 
-    demo = sub.add_parser("demo", help="walk the 8-slot worked examples")
-    common(demo)
+    sub.add_parser("demo", help="walk the 8-slot worked examples")
     return parser
 
 
@@ -101,10 +99,6 @@ def _config_dict(args, keys):
     if args.timestamp:
         config["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     return config
-
-
-def _locality_dict(report):
-    return {field: getattr(report, field) for field in LOCALITY_FIELDS}
 
 
 def _emit_json(payload) -> None:
@@ -118,41 +112,30 @@ def cmd_bench(args) -> int:
     if args.workload == "lifecycle":
         report = run_list_lifecycle(policy, args.slots, args.slot_size,
                                     args.seed, args.line_size)
-        body = {
-            "kind": "lifecycle",
-            "policy_kind": report.policy_kind,
-            "node_count": report.node_count,
-            "seed": report.seed,
-            "generator": report.generator,
-            "first_traversal": _locality_dict(report.first_traversal),
-            "second_traversal": _locality_dict(report.second_traversal),
-        }
+        body = {"kind": "lifecycle", **dataclasses.asdict(report)}
     else:
         config["fill"] = args.fill
         config["ops"] = args.ops
-        churn = run_random_churn(policy, args.slots, args.fill, args.ops,
+        batch = run_random_churn(policy, args.slots, args.fill, args.ops,
                                  args.seed, args.slot_size, args.line_size)
-        body = {"kind": "churn", "batch": _locality_dict(churn)}
+        body = {"kind": "churn", "batch": dataclasses.asdict(batch)}
+    # the locality reports, in the order their dataclass declares them
+    traversals = {name: item for name, item in body.items()
+                  if isinstance(item, dict)}
 
     if args.format == "json":
         _emit_json({"command": "bench", "config": config, "reports": [body]})
     elif args.format == "csv":
-        print("report,sequential_fraction,distinct_lines,mean_abs_gap,traversal_len")
-        for name in ("first_traversal", "second_traversal", "batch"):
-            item = body.get(name)
-            if item is not None:
-                print(f"{name},{item['sequential_fraction']},"
-                      f"{item['distinct_lines']},{item['mean_abs_gap']},"
-                      f"{item['traversal_len']}")
+        print(",".join(("report", *LOCALITY_FIELDS)))
+        for name, item in traversals.items():
+            print(",".join((name, *map(str, item.values()))))
     else:
         print(f"workload: {args.workload}  allocator: {args.allocator}  "
               f"slots: {args.slots}  slot-size: {args.slot_size}  seed: {args.seed}")
-        for name in ("first_traversal", "second_traversal", "batch"):
-            item = body.get(name)
-            if item is not None:
-                print(f"{name}:")
-                for field in LOCALITY_FIELDS:
-                    print(f"  {field}: {item[field]}")
+        for name, item in traversals.items():
+            print(f"{name}:")
+            for field, value in item.items():
+                print(f"  {field}: {value}")
     return 0
 
 

@@ -12,7 +12,8 @@ from .baselines import FreeListPolicy, LinearBitmapPolicy
 from .bittree import BitTree
 from .errors import Misaligned, OutOfRange
 
-# one constructor per policy kind, called with the capacity
+# one constructor per policy kind, called with the capacity; a policy has
+# capacity, free_count, allocate(), allocate_with_hint(slot) and release(slot)
 POLICIES = {
     "bitmap": BitTree,
     "freelist_lifo": partial(FreeListPolicy, order="lifo"),
@@ -44,11 +45,8 @@ class Pool:
     def __init__(self, slot_size: int, capacity: int, policy_kind: str = "bitmap"):
         if slot_size < 1:
             raise ValueError("slot_size must be >= 1")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.slot_size = slot_size
         self.capacity = capacity
-        self.policy_kind = policy_kind
         self.policy = make_policy(policy_kind, capacity)
 
     @property

@@ -39,7 +39,6 @@ class LocalityReport:
 class LifecycleReport:
     policy_kind: str
     node_count: int
-    slot_size: int
     seed: int
     generator: str
     first_traversal: LocalityReport
@@ -123,8 +122,13 @@ def churn_steps(capacity: int, target_fill: float, ops: int,
         raise ValueError("target_fill must be in [0, 1)")
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    return _churn_schedule(round(capacity * target_fill), ops,
+    return _churn_schedule(_churn_fill(capacity, target_fill), ops,
                            random.Random(seed))
+
+
+def _churn_fill(capacity: int, target_fill: float) -> int:
+    """The live-id count the churn schedule fills to and churns around."""
+    return round(capacity * target_fill)
 
 
 def _churn_schedule(target: int, ops: int,
@@ -170,7 +174,6 @@ def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
     return LifecycleReport(
         policy_kind=policy_kind,
         node_count=node_count,
-        slot_size=slot_size,
         seed=seed,
         generator=GENERATOR_NAME,
         first_traversal=measure(first, slot_size, line_size),
@@ -186,10 +189,20 @@ def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
     Runs ``churn_steps``, then a final batch acquires all remaining free
     slots; the report covers the batch's offsets.  With ops == 0 it
     covers the initial fill instead.
+
+    The fill's offsets are listed before the first acquire, so a pool too
+    large for memory fails at once, also under a free-list policy.
     """
     steps = churn_steps(capacity, target_fill, ops, seed)
     pool = Pool(slot_size, capacity, policy_kind)
-    offsets = []  # by id
+    try:
+        offsets = [0] * _churn_fill(capacity, target_fill)  # by id
+    except (MemoryError, OverflowError) as exc:
+        raise too_large(capacity) from exc
+    # the schedule starts with one allocate step per fill id; zip takes
+    # them and leaves the rest of the steps in the iterator
+    for i, _ in zip(range(len(offsets)), steps):
+        offsets[i] = pool.acquire()
     for k in steps:
         if k is None:
             offsets.append(pool.acquire())

@@ -6,7 +6,7 @@ import random
 import jsonschema
 import pytest
 
-from bitfit import cli, trace, workload
+from bitfit import cli, pool, trace, workload
 from bitfit.cli import LOCALITY_FIELDS, REPORT_SCHEMA, main
 
 
@@ -177,10 +177,11 @@ class TestReplay:
 class TestPoolTooLarge:
     """A pool that cannot be allocated (2**61 slots) or indexed (2**70) is
     an error naming the slot count.  A bitmap pool allocates its bit array
-    up front.  The free lists are lazy, so replay and churn would run with
-    them; the lifecycle makes its lists of offsets before it draws one
-    value per node, and a stand-in for the draw fails the test instead of
-    running that loop."""
+    up front.  The free lists are lazy, so replay would run with them; the
+    lifecycle makes its lists of offsets before it draws one value per
+    node, and the churn makes its fill's list before the first acquire.
+    Stand-ins for the draw and for ``Pool.acquire`` fail the test instead
+    of running those loops."""
 
     @pytest.mark.parametrize("slots", [2**61, 2**70])
     @pytest.mark.parametrize("command, allocator", [
@@ -189,7 +190,9 @@ class TestPoolTooLarge:
                           ["bench", "--workload", "lifecycle"],
                           ["bench", "--workload", "churn"])
           for allocator in ("bitmap", "linear-bitmap")),
-        *((["bench", "--workload", "lifecycle"], allocator)
+        *((command, allocator)
+          for command in (["bench", "--workload", "lifecycle"],
+                          ["bench", "--workload", "churn"])
           for allocator in ("freelist-lifo", "freelist-fifo")),
     ], ids=lambda value: (value if isinstance(value, str) else
                           value[0] + "-" + value[2].split(".")[0]))
@@ -198,7 +201,11 @@ class TestPoolTooLarge:
         def free_order_drawn(*args):
             raise AssertionError("lifecycle free order drawn before the pool")
 
+        def acquired(self):
+            raise AssertionError("slot acquired before the pool was sized")
+
         monkeypatch.setattr(workload, "lifecycle_free_order", free_order_drawn)
+        monkeypatch.setattr(pool.Pool, "acquire", acquired)
         (tmp_path / "trace.txt").write_text("alloc a\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *command, "--allocator", allocator,
@@ -219,6 +226,16 @@ class TestDemo:
         _, first, _ = run_cli(capsys, "demo")
         _, second, _ = run_cli(capsys, "demo")
         assert first == second
+
+    @pytest.mark.parametrize("flag", [
+        ["--format", "json"], ["--slots", "4"],
+        ["--allocator", "freelist-lifo"], ["--timestamp"],
+    ], ids=lambda flag: flag[0])
+    def test_rejects_flags(self, capsys, flag):
+        # demo reads no flag, so any flag is a usage error, not ignored
+        code, out, err = run_cli(capsys, "demo", *flag)
+        assert code == 2
+        assert "usage" in err and out == ""
 
 
 def test_identical_configs_yield_identical_json(capsys):
