@@ -27,12 +27,12 @@ class BitTree:
     arithmetic never needs a bounds branch.
 
     ``op_steps`` counts tree steps: one step is one read or one write of
-    an element of ``bits``.  ``allocate``, ``release`` and
-    ``allocate_with_hint`` count every such access they make, including
-    the root or leaf read that ends in ``PoolExhausted`` or ``DoubleFree``;
-    tests use the per-operation delta to verify the logarithmic step
-    bound.  Range checks touch no bit and count nothing, and neither do
-    the read-only observers (``is_slot_free``, ``check_integrity``).
+    an element of ``bits``.  ``allocate`` (hinted or not) and ``release``
+    count every such access they make, including the root or leaf read
+    that ends in ``PoolExhausted`` or ``DoubleFree``; tests use the
+    per-operation delta to verify the logarithmic step bound.  Range
+    checks touch no bit and count nothing, and neither do the read-only
+    observers (``is_slot_free``, ``check_integrity``).
     """
 
     __slots__ = ("capacity", "n_leaves", "bits", "free_count", "op_steps")
@@ -56,26 +56,61 @@ class BitTree:
     # -- operations ----------------------------------------------------
     #
     # The operations index ``bits`` directly and tally their steps in a
-    # local, added to ``op_steps`` once per call.  The descent reads one
-    # bit per level, so it costs ``depth`` steps.  Every node it passes
-    # through was 0, so after the leaf is set an ancestor turns 1 exactly
-    # while the sibling below it is 1: the climb reads one sibling per
-    # level and stops at the first free one.  ``((i - 1) ^ 1) + 1`` is the
-    # sibling of node ``i``.
+    # local, added to ``op_steps`` once per call.  Allocation is one
+    # routine: a descent to a free leaf, which a hint only steers, then
+    # one shared tail that sets the leaf and climbs.  The descent reads
+    # one bit per level, so it costs ``depth`` steps.  Every node it
+    # passes through was 0, so after the leaf is set an ancestor turns 1
+    # exactly while the sibling below it is 1: the climb reads one
+    # sibling per level and stops at the first free one.
+    # ``((i - 1) ^ 1) + 1`` is the sibling of node ``i``.
 
-    def allocate(self) -> int:
-        """Mark the lowest-index free slot used and return it."""
+    def allocate(self, hint: int | None = None) -> int:
+        """Mark a free slot used and return it.
+
+        Without a hint this is the lowest-index free slot.  With one, the
+        descent is greedy: at each level it follows the child whose
+        subtree holds the hint leaf when that child has a free slot; the
+        first time it is forced onto the other side it steers back toward
+        the hint at every remaining level.  The result is the hint itself
+        when free, and otherwise always falls inside the smallest free
+        subtree on the root-to-hint path.  Greedy, not globally nearest.
+        """
         bits = self.bits
-        if bits[0]:
-            self.op_steps += 1
-            raise PoolExhausted("all slots are in use")
         base = self.n_leaves - 1
         steps = 2 + base.bit_length()  # root read, one read per level, leaf write
         idx = 0
-        while idx < base:
-            idx = 2 * idx + 1
-            # parent bit is 0, so if the left child is full (1) the right is free
-            idx += bits[idx]
+        # each branch checks the root itself, so first fit pays one test
+        # for the hint, and a bad hint is refused before any bit is read
+        if hint is None:
+            if bits[0]:
+                self.op_steps += 1
+                raise PoolExhausted("all slots are in use")
+            while idx < base:
+                idx = 2 * idx + 1
+                # parent bit is 0, so if the left child is full (1) the right is free
+                idx += bits[idx]
+        else:
+            check_range(hint, self.capacity, "hint")
+            if bits[0]:
+                self.op_steps += 1
+                raise PoolExhausted("all slots are in use")
+            level = steps - 2  # levels left to descend
+            while level:
+                level -= 1
+                # bit ``level`` of the hint says which child holds the hint leaf
+                toward_right = (hint >> level) & 1
+                idx = 2 * idx + 1 + toward_right
+                if bits[idx]:
+                    # forced off the hint path: take the sibling, then steer
+                    # back toward the hint (rightward if it lies to the right)
+                    idx = ((idx - 1) ^ 1) + 1
+                    while level:
+                        level -= 1
+                        idx = 2 * idx + 1 + toward_right
+                        if bits[idx]:
+                            idx = ((idx - 1) ^ 1) + 1
+                    break
         bits[idx] = 1
         self.free_count -= 1
         slot = idx - base
@@ -88,6 +123,9 @@ class BitTree:
             steps += 2
         self.op_steps += steps
         return slot
+
+    # the policy contract's name for a hinted allocation
+    allocate_with_hint = allocate
 
     def release(self, slot: int) -> None:
         """Mark ``slot`` free and clear ancestor bits until one is already 0."""
@@ -108,53 +146,6 @@ class BitTree:
             bits[idx] = 0
             steps += 2
         self.op_steps += steps
-
-    def allocate_with_hint(self, hint: int) -> int:
-        """Allocate a free slot near ``hint`` by greedy descent.
-
-        At each level the descent follows the child whose subtree holds
-        the hint leaf when that child has a free slot; the first time it
-        is forced onto the other side it steers back toward the hint at
-        every remaining level.  The result is the hint itself when free,
-        and otherwise always falls inside the smallest free subtree on
-        the root-to-hint path.  Greedy, not globally nearest.
-        """
-        check_range(hint, self.capacity, "hint")
-        bits = self.bits
-        if bits[0]:
-            self.op_steps += 1
-            raise PoolExhausted("all slots are in use")
-        base = self.n_leaves - 1
-        level = base.bit_length()  # levels left to descend
-        steps = 2 + level  # root read, one read per level, leaf write
-        idx = 0
-        while level:
-            level -= 1
-            # bit ``level`` of the hint says which child holds the hint leaf
-            toward_right = (hint >> level) & 1
-            idx = 2 * idx + 1 + toward_right
-            if bits[idx]:
-                # forced off the hint path: take the sibling, then steer
-                # back toward the hint (rightward if it lies to the right)
-                idx = ((idx - 1) ^ 1) + 1
-                while level:
-                    level -= 1
-                    idx = 2 * idx + 1 + toward_right
-                    if bits[idx]:
-                        idx = ((idx - 1) ^ 1) + 1
-                break
-        bits[idx] = 1
-        self.free_count -= 1
-        slot = idx - base
-        while idx:
-            if not bits[((idx - 1) ^ 1) + 1]:
-                steps += 1
-                break
-            idx = (idx - 1) >> 1
-            bits[idx] = 1
-            steps += 2
-        self.op_steps += steps
-        return slot
 
     def is_slot_free(self, slot: int) -> bool:
         check_range(slot, self.capacity)

@@ -67,18 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):  # bench and replay; demo reads no flag
+    def common(p, seeded):  # bench and replay; demo reads no flag
         p.add_argument("--allocator", choices=ALLOCATOR_CHOICES, default="bitmap")
         p.add_argument("--slots", type=_positive_int, default=1024)
         p.add_argument("--slot-size", type=_positive_int, default=32)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--line-size", type=_positive_int, default=64)
+        if seeded:  # a replay draws no random number and measures no cache line
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--line-size", type=_positive_int, default=64)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--timestamp", action="store_true",
                        help="include a wall-clock timestamp in the report")
 
     bench = sub.add_parser("bench", help="run a locality benchmark")
-    common(bench)
+    common(bench, seeded=True)
     bench.add_argument("--workload", choices=("lifecycle", "churn"),
                        default="lifecycle")
     bench.add_argument("--fill", type=_fill_ratio, default=0.7,
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="churn operation count")
 
     rep = sub.add_parser("replay", help="replay a trace file")
-    common(rep)
+    common(rep, seeded=False)
     rep.add_argument("--trace", required=True, help="path to the trace file")
 
     sub.add_parser("demo", help="walk the 8-slot worked examples")
@@ -142,7 +143,7 @@ def cmd_bench(args) -> int:
 def cmd_replay(args) -> int:
     policy = _policy_kind(args.allocator)
     config = _config_dict(
-        args, ("allocator", "slots", "slot_size", "seed", "line_size", "trace"))
+        args, ("allocator", "slots", "slot_size", "trace"))
     with open(args.trace, "rb") as fh:
         events = parse_trace(decode_trace(fh.read()))
     records = replay(events, policy, args.slots, args.slot_size)

@@ -157,10 +157,16 @@ class TestAllocateWithHint:
         with pytest.raises(PoolExhausted):
             tree.allocate_with_hint(0)
 
-    def test_hint_out_of_range(self):
+    @pytest.mark.parametrize("used", [0, 5], ids=["empty", "full"])
+    def test_hint_out_of_range(self, used):
+        # the range check comes before the root read, even on a full tree
         tree = BitTree(5)
+        for _ in range(used):
+            tree.allocate()
+        before = tree.op_steps
         with pytest.raises(OutOfRange):
             tree.allocate_with_hint(7)
+        assert tree.op_steps == before
 
 
 class TestObservers:
@@ -260,11 +266,20 @@ def test_hint_locality_and_determinism(capacity, choices, hint_pick):
         with pytest.raises(PoolExhausted):
             tree.allocate_with_hint(hint)
         return
-    twin = BitTree(capacity)
-    twin.bits[:] = tree.bits
-    twin.free_count = tree.free_count
+
+    def twin():
+        copy = BitTree(capacity)
+        copy.bits[:] = tree.bits
+        copy.free_count = tree.free_count
+        return copy
+
+    # hint 0 steers left at every level, which is the first-fit descent
+    first_fit, hint_zero, same_hint = twin(), twin(), twin()
+    assert first_fit.allocate() == hint_zero.allocate_with_hint(0)
+    assert first_fit.bits == hint_zero.bits
+    assert first_fit.op_steps == hint_zero.op_steps
     got = tree.allocate_with_hint(hint)
-    assert got == twin.allocate_with_hint(hint)  # pure function of state
+    assert got == same_hint.allocate_with_hint(hint)  # pure function of state
     assert got == greedy_hint_reference(leaves, hint)
     lo, hi = smallest_free_subtree_on_path(leaves, hint)
     assert lo <= got < hi

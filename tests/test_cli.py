@@ -155,6 +155,16 @@ class TestReplay:
         ]
 
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--line-size", "64"]],
+                             ids=lambda flag: flag[0])
+    def test_rejects_unread_flags(self, capsys, tmp_path, flag):
+        # a replay draws no random number and measures no cache line, so
+        # these bench flags are usage errors here, not silently ignored
+        path = self.write_trace(tmp_path, "alloc a\n")
+        code, out, err = run_cli(capsys, "replay", "--trace", path, *flag)
+        assert code == 2
+        assert "usage" in err and out == ""
+
     def test_trace_layer_is_called_through_module_globals(
             self, capsys, monkeypatch, tmp_path):
         # bench/tracing.py times the parse and replay layers by replacing
@@ -354,49 +364,49 @@ PINNED_STDOUT_SHA256 = {
     ("churn", "linear-bitmap", "text"):
         "4a842dd83ae1abfbf56c6ca29589462ae8168615e83c9f8b4795a316d00da757",
     ("hinted_churn", "bitmap", "json"):
-        "11b207e2dad5d96d2e67a7a38147e0e0a6ab810ce984e6439b15a737c5527d5c",
+        "a6dacaec8b56ec2e16c6820a0c69c20d471eeda380d38119b9eb390c6afb6dde",
     ("hinted_churn", "bitmap", "csv"):
         "a9d2ef10627c10f45676074491f1c0ebec931ecfc858a7e02eed8085d1d841a1",
     ("hinted_churn", "bitmap", "text"):
         "a9d2ef10627c10f45676074491f1c0ebec931ecfc858a7e02eed8085d1d841a1",
     ("hinted_churn", "freelist-lifo", "json"):
-        "62dade872dfdfcb398b565ed4bb8cf3f911a59b823916caf30f0f4380d231f88",
+        "3f289941d0d678716658027271b9f492b17cb79561afde134576305d9e619e62",
     ("hinted_churn", "freelist-lifo", "csv"):
         "a36e6488aff0cf5d99279d2c2e48f020124e1cc6fce8240e971cbd3f75cc2adb",
     ("hinted_churn", "freelist-lifo", "text"):
         "a36e6488aff0cf5d99279d2c2e48f020124e1cc6fce8240e971cbd3f75cc2adb",
     ("hinted_churn", "freelist-fifo", "json"):
-        "6e7bcf3bb5a15382c6a5344d438a08e32bf0ee9a1b0b11e0652ba36f5cecb482",
+        "19b0efc56268e3ce69dcccd5411ed229a01e2381cc488dfcb004fc0f9aec40d0",
     ("hinted_churn", "freelist-fifo", "csv"):
         "d16518d3277e3305ad28ded74dd629245e2ea4cebd2f1e064be4e9621d6ae2ce",
     ("hinted_churn", "freelist-fifo", "text"):
         "d16518d3277e3305ad28ded74dd629245e2ea4cebd2f1e064be4e9621d6ae2ce",
     ("hinted_churn", "linear-bitmap", "json"):
-        "b10bfbcfc7821277301ef9c27d1e1e5a7ae0b52c294b35d3a9f0c9db629f5864",
+        "1652703a1f801bb675eea0243350cd8d1a18ae2b591f80f96ecce1bacc348a46",
     ("hinted_churn", "linear-bitmap", "csv"):
         "49b8899a0cd13bf8a305624512b370634acd87df99d4f6f9351675d0f04b271c",
     ("hinted_churn", "linear-bitmap", "text"):
         "49b8899a0cd13bf8a305624512b370634acd87df99d4f6f9351675d0f04b271c",
     ("loose", "bitmap", "json"):
-        "6722f32c832726e9fffc78fc3192abb9d7d15fd7fb6d3355c69ca315600cc866",
+        "dff46f3a7112d4a49f9c68431a30a0f6c5304634e9ab9936fbf9af9d9a6c5127",
     ("loose", "bitmap", "csv"):
         "761d835e0e72ca2007abd17e12d129aaee0901aac08c2ae8e565be1ff3e86c77",
     ("loose", "bitmap", "text"):
         "761d835e0e72ca2007abd17e12d129aaee0901aac08c2ae8e565be1ff3e86c77",
     ("loose", "freelist-lifo", "json"):
-        "21f067535795a5803ad2597a117383d1d2e7d0b61fef555607f7f8944eea7aa4",
+        "60d3ee249a9c4e9e03aac2bcab33cb4249eecd3247f04e8057d1e571ba577301",
     ("loose", "freelist-lifo", "csv"):
         "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
     ("loose", "freelist-lifo", "text"):
         "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
     ("loose", "freelist-fifo", "json"):
-        "8745622c62bffa822ddb4645691d48e4309aa69694bac871252809912ff2d9b9",
+        "d8e5b6f1dbf78e9c84cf187d81e92c6fe2d567eb63569f01da74d6fa46602703",
     ("loose", "freelist-fifo", "csv"):
         "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
     ("loose", "freelist-fifo", "text"):
         "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
     ("loose", "linear-bitmap", "json"):
-        "11650022d0af18af016df7fdff134769ff19a8162ede7d7ce24fb0b3cd24a6f4",
+        "ec03438c51b2c4ecc094e69eda94396775aff6cd19fa9e57b7fc85ec0c46fdf4",
     ("loose", "linear-bitmap", "csv"):
         "c8823d33b288dd1d1974ffb3e8d5de8d6e0d7193b8b22b78de7ea95e0bbf5c81",
     ("loose", "linear-bitmap", "text"):
