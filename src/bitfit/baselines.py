@@ -7,7 +7,7 @@ correctness oracle for the tree allocator.
 
 from collections import deque
 
-from .errors import DoubleFree, PoolExhausted, check_range
+from .errors import DoubleFree, PoolExhausted, out_of_range
 
 
 class _HintIgnoringPolicy:
@@ -15,7 +15,8 @@ class _HintIgnoringPolicy:
     by: a hint is range-checked and then ignored."""
 
     def allocate_with_hint(self, hint: int) -> int:
-        check_range(hint, self.capacity, "hint")
+        if not 0 <= hint < self.capacity:
+            raise out_of_range("hint", hint, self.capacity)
         return self.allocate()
 
 
@@ -57,7 +58,8 @@ class FreeListPolicy(_HintIgnoringPolicy):
         raise PoolExhausted("all slots are in use")
 
     def release(self, slot: int) -> None:
-        check_range(slot, self.capacity)
+        if not 0 <= slot < self.capacity:
+            raise out_of_range("slot", slot, self.capacity)
         if slot >= self.next_fresh or slot in self._free_set:
             raise DoubleFree(f"slot {slot} is not currently allocated")
         self.free_sequence.append(slot)
@@ -87,7 +89,8 @@ class LinearBitmapPolicy(_HintIgnoringPolicy):
         return slot
 
     def release(self, slot: int) -> None:
-        check_range(slot, self.capacity)
+        if not 0 <= slot < self.capacity:
+            raise out_of_range("slot", slot, self.capacity)
         if self.leaf_bits[slot] == 0:
             raise DoubleFree(f"slot {slot} is already free")
         self.leaf_bits[slot] = 0

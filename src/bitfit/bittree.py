@@ -9,7 +9,7 @@ the root bit alone answers "is the pool full?" in O(1).  Children of node
 ``i`` live at ``2*i + 1`` and ``2*i + 2``.
 """
 
-from .errors import DoubleFree, PoolExhausted, check_range
+from .errors import DoubleFree, PoolExhausted, out_of_range
 
 
 def _next_pow2(n: int) -> int:
@@ -64,17 +64,28 @@ class BitTree:
     # exactly while the sibling below it is 1: the climb reads one
     # sibling per level and stops at the first free one.
     # ``((i - 1) ^ 1) + 1`` is the sibling of node ``i``.
+    #
+    # A hinted descent walks the hint leaf's ancestors.  Numbered from 1
+    # as a heap (node ``k`` at ``bits[k - 1]``, children ``2k`` and
+    # ``2k + 1``), the hint leaf is ``leaf = n_leaves + hint`` and its
+    # ancestor ``level`` levels up is ``leaf >> level``, so the walk needs
+    # no per-level test of the hint's bits.  It stops at the first full
+    # ancestor, an odd number when that ancestor is a right child, and
+    # moves to its free sibling.  Below it the descent steers toward the
+    # hint: into the right child when the hint lies to the right, and the
+    # left one when that child is free, which is the first-fit step.
 
     def allocate(self, hint: int | None = None) -> int:
         """Mark a free slot used and return it.
 
         Without a hint this is the lowest-index free slot.  With one, the
-        descent is greedy: at each level it follows the child whose
-        subtree holds the hint leaf when that child has a free slot; the
-        first time it is forced onto the other side it steers back toward
-        the hint at every remaining level.  The result is the hint itself
-        when free, and otherwise always falls inside the smallest free
-        subtree on the root-to-hint path.  Greedy, not globally nearest.
+        descent follows the hint leaf's ancestors down from the root while
+        they have a free slot; at the first full one it takes the free
+        sibling and then steers toward the hint at every remaining level
+        (the rightmost free leaf when the hint lies to the right, else the
+        leftmost).  The result is the hint itself when free, and otherwise
+        always falls inside the smallest free subtree on the root-to-hint
+        path.  Greedy, not globally nearest.
         """
         bits = self.bits
         base = self.n_leaves - 1
@@ -86,31 +97,31 @@ class BitTree:
             if bits[0]:
                 self.op_steps += 1
                 raise PoolExhausted("all slots are in use")
-            while idx < base:
-                idx = 2 * idx + 1
-                # parent bit is 0, so if the left child is full (1) the right is free
-                idx += bits[idx]
         else:
-            check_range(hint, self.capacity, "hint")
+            if not 0 <= hint < self.capacity:
+                raise out_of_range("hint", hint, self.capacity)
             if bits[0]:
                 self.op_steps += 1
                 raise PoolExhausted("all slots are in use")
-            level = steps - 2  # levels left to descend
+            leaf = base + 1 + hint
+            idx = leaf - 1  # where the walk ends when the hint itself is free
+            level = steps - 2  # the depth of the hint leaf
             while level:
                 level -= 1
-                # bit ``level`` of the hint says which child holds the hint leaf
-                toward_right = (hint >> level) & 1
-                idx = 2 * idx + 1 + toward_right
-                if bits[idx]:
-                    # forced off the hint path: take the sibling, then steer
-                    # back toward the hint (rightward if it lies to the right)
-                    idx = ((idx - 1) ^ 1) + 1
-                    while level:
-                        level -= 1
-                        idx = 2 * idx + 1 + toward_right
-                        if bits[idx]:
-                            idx = ((idx - 1) ^ 1) + 1
+                node = leaf >> level
+                if bits[node - 1]:
+                    idx = (node ^ 1) - 1  # the free sibling
+                    if node & 1:  # the hint lies to the right: steer right
+                        while idx < base:
+                            idx = 2 * idx + 2
+                            # a full right child means the left one is free
+                            idx -= bits[idx]
                     break
+        # first fit, and the leftward steer below a hinted detour
+        while idx < base:
+            idx = 2 * idx + 1
+            # parent bit is 0, so if the left child is full (1) the right is free
+            idx += bits[idx]
         bits[idx] = 1
         self.free_count -= 1
         slot = idx - base
@@ -129,7 +140,8 @@ class BitTree:
 
     def release(self, slot: int) -> None:
         """Mark ``slot`` free and clear ancestor bits until one is already 0."""
-        check_range(slot, self.capacity)
+        if not 0 <= slot < self.capacity:
+            raise out_of_range("slot", slot, self.capacity)
         bits = self.bits
         idx = self.n_leaves - 1 + slot
         if not bits[idx]:
@@ -148,7 +160,8 @@ class BitTree:
         self.op_steps += steps
 
     def is_slot_free(self, slot: int) -> bool:
-        check_range(slot, self.capacity)
+        if not 0 <= slot < self.capacity:
+            raise out_of_range("slot", slot, self.capacity)
         return self.bits[self.n_leaves - 1 + slot] == 0
 
     def check_integrity(self) -> bool:

@@ -59,13 +59,26 @@ def _policy_kind(allocator: str) -> str:
     return allocator.replace("-", "_")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  argparse hands a subcommand's unknown
+    arguments back to the top-level parser, whose usage lists no flag of
+    the subcommand; this one reports them with its own usage instead."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitfit",
         description="Pool-allocator locality benchmarks and trace replay.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     def common(p, seeded):  # bench and replay; demo reads no flag
         p.add_argument("--allocator", choices=ALLOCATOR_CHOICES, default="bitmap")

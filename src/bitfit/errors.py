@@ -1,5 +1,5 @@
 """Exception types shared by all allocator policies and the trace replayer,
-plus the range check every policy makes."""
+plus the out-of-range errors every policy and the pool raise."""
 
 
 class AllocatorError(Exception):
@@ -18,14 +18,22 @@ class OutOfRange(AllocatorError):
     """Slot or hint index lies outside the pool."""
 
 
-def check_range(index: int, capacity: int, what: str = "slot") -> None:
-    """Raise OutOfRange unless ``0 <= index < capacity``."""
-    if not 0 <= index < capacity:
-        raise OutOfRange(f"{what} {index} not in [0, {capacity})")
+def out_of_range(what: str, index: int, capacity: int) -> OutOfRange:
+    """The error for a ``what`` (slot or hint) outside ``[0, capacity)``.
+    Callers compare inline and build it only on the error path."""
+    return OutOfRange(f"{what} {index} not in [0, {capacity})")
 
 
 class Misaligned(AllocatorError):
     """Byte offset is not a multiple of the slot size."""
+
+
+def bad_offset(offset: int, slot_size: int, capacity: int) -> AllocatorError:
+    """The error for a byte offset that names no slot of a pool of
+    ``capacity`` slots of ``slot_size`` bytes."""
+    if offset % slot_size:
+        return Misaligned(f"offset {offset} is not a multiple of {slot_size}")
+    return OutOfRange(f"offset {offset} outside pool of {capacity * slot_size} bytes")
 
 
 class TraceError(Exception):

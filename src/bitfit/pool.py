@@ -10,7 +10,7 @@ from functools import partial
 
 from .baselines import FreeListPolicy, LinearBitmapPolicy
 from .bittree import BitTree
-from .errors import Misaligned, OutOfRange
+from .errors import bad_offset
 
 # one constructor per policy kind, called with the capacity; a policy has
 # capacity, free_count, allocate(), allocate_with_hint(slot) and release(slot)
@@ -61,15 +61,16 @@ class Pool:
         return slot * self.slot_size
 
     def slot_of(self, offset: int) -> int:
-        if offset % self.slot_size != 0:
-            raise Misaligned(f"offset {offset} is not a multiple of {self.slot_size}")
-        slot = offset // self.slot_size
-        if not 0 <= slot < self.capacity:
-            raise OutOfRange(f"offset {offset} outside pool of {self.size_bytes} bytes")
+        slot, rem = divmod(offset, self.slot_size)
+        if rem or not 0 <= slot < self.capacity:
+            raise bad_offset(offset, self.slot_size, self.capacity)
         return slot
 
     def acquire(self) -> int:
         return self.policy.allocate() * self.slot_size
+
+    # acquire_near and release translate the offset inline, as slot_of
+    # does, so a valid offset costs no call
 
     def acquire_near(self, hint: int) -> int:
         """Allocate near the slot at byte offset ``hint``.
@@ -77,7 +78,13 @@ class Pool:
         Only the bitmap policy honors the hint; the other policies fall
         back to their plain allocation order.
         """
-        return self.policy.allocate_with_hint(self.slot_of(hint)) * self.slot_size
+        slot, rem = divmod(hint, self.slot_size)
+        if rem or not 0 <= slot < self.capacity:
+            raise bad_offset(hint, self.slot_size, self.capacity)
+        return self.policy.allocate_with_hint(slot) * self.slot_size
 
     def release(self, offset: int) -> None:
-        self.policy.release(self.slot_of(offset))
+        slot, rem = divmod(offset, self.slot_size)
+        if rem or not 0 <= slot < self.capacity:
+            raise bad_offset(offset, self.slot_size, self.capacity)
+        self.policy.release(slot)

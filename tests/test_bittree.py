@@ -288,6 +288,45 @@ def test_hint_locality_and_determinism(capacity, choices, hint_pick):
     assert tree.check_integrity()
 
 
+def tree_with_leaves(capacity, runs):
+    """A tree whose slots are ``runs`` of used or free slots, laid end to
+    end and repeated to fill ``capacity``; runs of 2^k slots make full and
+    free subtrees at every depth."""
+    tree = BitTree(capacity)
+    pattern = [int(used) for used, log_len, extra in runs
+               for _ in range((1 << log_len) + extra)]
+    leaves = [pattern[s % len(pattern)] for s in range(capacity)]
+    leaves += [1] * (tree.n_leaves - capacity)
+    tree.bits[:] = bytes(rebuild_internal(leaves))
+    tree.free_count = leaves.count(0)
+    return tree
+
+
+runs_strategy = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, 3)),
+    min_size=1, max_size=12)
+
+
+@given(capacity=st.integers(1, 2 ** 14), runs=runs_strategy,
+       hint_picks=st.lists(st.integers(0, 2 ** 30), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_deep_hint_matches_greedy_reference(capacity, runs, hint_picks):
+    tree = tree_with_leaves(capacity, runs)
+    assert tree.check_integrity()
+    for pick in hint_picks:
+        leaves = leaves_of(tree)
+        used = [s for s in range(capacity) if leaves[s]]
+        # even picks aim at a used slot, where the walk must detour
+        hint = used[pick % len(used)] if used and pick % 2 == 0 else pick % capacity
+        expected = greedy_hint_reference(leaves, hint)
+        if expected is None:
+            with pytest.raises(PoolExhausted):
+                tree.allocate_with_hint(hint)
+            break
+        assert tree.allocate_with_hint(hint) == expected
+    assert tree.check_integrity()
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 5, 16, 1024])
 def test_step_bound(capacity):
     tree = BitTree(capacity)
@@ -325,7 +364,7 @@ class CountingBits(bytearray):
         super().__setitem__(key, value)
 
 
-@pytest.mark.parametrize("capacity", [1, 2, 5, 16, 100])
+@pytest.mark.parametrize("capacity", [1, 2, 5, 16, 100, 4097])
 def test_op_steps_equals_bit_accesses(capacity):
     tree = BitTree(capacity)
     tree.bits = CountingBits(tree.bits)
@@ -343,7 +382,8 @@ def test_op_steps_equals_bit_accesses(capacity):
         finally:
             assert tree.op_steps - steps == tree.bits.accesses - accesses
 
-    for _ in range(3000):
+    # enough operations to fill the tree, so that allocations run out
+    for _ in range(max(3000, 6 * capacity)):
         roll = rng.random()
         if roll < 0.3:
             slot = counted(tree.allocate)

@@ -248,6 +248,18 @@ class TestDemo:
         assert "usage" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--workload", "lifecycle", "--bogus"],
+    ["replay", "--trace", "t.txt", "--bogus"],
+], ids=lambda argv: argv[0])
+def test_unknown_flag_shows_the_subcommand_usage(capsys, argv):
+    # the usage printed is the subcommand's, which lists the flags it takes
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: bitfit {argv[0]} [-h]")
+    assert f"bitfit {argv[0]}: error: unrecognized arguments: --bogus\n" in err
+
+
 def test_identical_configs_yield_identical_json(capsys):
     argv = ["bench", "--workload", "lifecycle", "--slots", "256",
             "--slot-size", "32", "--seed", "7", "--format", "json"]

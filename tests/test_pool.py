@@ -113,6 +113,30 @@ class TestAcquireNear:
             pool.acquire_near(pool.offset_of(8))
 
 
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@pytest.mark.parametrize("method", ["release", "acquire_near"])
+@pytest.mark.parametrize("offset, error, message", [
+    (33, Misaligned, r"^offset 33 is not a multiple of 32$"),
+    (-5, Misaligned, r"^offset -5 is not a multiple of 32$"),
+    (256, OutOfRange, r"^offset 256 outside pool of 256 bytes$"),
+    (-32, OutOfRange, r"^offset -32 outside pool of 256 bytes$"),
+], ids=["misaligned", "negative-misaligned", "past-end", "negative"])
+def test_bad_offset_messages(kind, method, offset, error, message):
+    pool = Pool(32, 8, kind)
+    with pytest.raises(error, match=message):
+        getattr(pool, method)(offset)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@pytest.mark.parametrize("index", [5, 6, -1])
+def test_out_of_range_messages(kind, index):
+    policy = make_policy(kind, 5)
+    with pytest.raises(OutOfRange, match=rf"^slot {index} not in \[0, 5\)$"):
+        policy.release(index)
+    with pytest.raises(OutOfRange, match=rf"^hint {index} not in \[0, 5\)$"):
+        policy.allocate_with_hint(index)
+
+
 def test_slot_offset_bijection():
     pool = Pool(48, 17, "bitmap")
     for s in range(17):
