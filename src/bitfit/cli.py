@@ -6,7 +6,6 @@ identical flags produce byte-identical output unless --timestamp is given.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -31,7 +30,7 @@ REPORT_SCHEMA = {
     },
 }
 
-LOCALITY_FIELDS = tuple(field.name for field in dataclasses.fields(LocalityReport))
+LOCALITY_FIELDS = LocalityReport._fields
 
 
 def _positive_int(text: str) -> int:
@@ -126,16 +125,18 @@ def cmd_bench(args) -> int:
     if args.workload == "lifecycle":
         report = run_list_lifecycle(policy, args.slots, args.slot_size,
                                     args.seed, args.line_size)
-        body = {"kind": "lifecycle", **dataclasses.asdict(report)}
+        body = {"kind": "lifecycle", **report._asdict()}
     else:
         config["fill"] = args.fill
         config["ops"] = args.ops
         batch = run_random_churn(policy, args.slots, args.fill, args.ops,
                                  args.seed, args.slot_size, args.line_size)
-        body = {"kind": "churn", "batch": dataclasses.asdict(batch)}
-    # the locality reports, in the order their dataclass declares them
-    traversals = {name: item for name, item in body.items()
-                  if isinstance(item, dict)}
+        body = {"kind": "churn", "batch": batch}
+    # the locality reports, in the order their record declares them, as
+    # dicts: _asdict is shallow, and json would write a tuple as a list
+    traversals = {name: item._asdict() for name, item in body.items()
+                  if isinstance(item, LocalityReport)}
+    body.update(traversals)
 
     if args.format == "json":
         _emit_json({"command": "bench", "config": config, "reports": [body]})
@@ -157,9 +158,16 @@ def cmd_replay(args) -> int:
     policy = _policy_kind(args.allocator)
     config = _config_dict(
         args, ("allocator", "slots", "slot_size", "trace"))
-    with open(args.trace, "rb") as fh:
-        events = parse_trace(decode_trace(fh.read()))
-    records = replay(events, policy, args.slots, args.slot_size)
+    try:
+        with open(args.trace, "rb") as fh:
+            # no name holds the parsed events, so those of frees die as
+            # soon as replay returns, before the rows are built
+            records = replay(parse_trace(decode_trace(fh.read())),
+                             policy, args.slots, args.slot_size)
+    except MemoryError:
+        print(f"error: trace {args.trace} does not fit in memory",
+              file=sys.stderr)
+        return 1
 
     if args.format == "json":
         body = {

@@ -37,6 +37,9 @@ _LINE_RE = re.compile(
     rf"\s*(?:((alloc_hint)|alloc|free)\s+{_ID}(?(2)\s+{_ID})\s*|#.*)?")
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _ARITY = {ALLOC: 2, FREE: 2, ALLOC_HINT: 3}
+# Maps a matched op to the constant above, so that every event shares one
+# op string instead of holding the copy the match made.
+_OPS = {op: op for op in _ARITY}
 
 
 class TraceEvent(NamedTuple):
@@ -74,13 +77,14 @@ def parse_trace(text: str) -> List[TraceEvent]:
     events = []
     append = events.append
     match = _LINE_RE.fullmatch
+    ops = _OPS
     for line_no, raw in enumerate(text.splitlines(), 1):
         m = match(raw)
         if m is None:
             raise _syntax_error(line_no, raw)
         op, _, id_, hint_id = m.groups()
         if op is not None:
-            append(_make(TraceEvent, (op, id_, hint_id, line_no)))
+            append(_make(TraceEvent, (ops[op], id_, hint_id, line_no)))
     return events
 
 

@@ -13,12 +13,14 @@ address order.  Locality is measured on the traversal offset sequence
 with three proxies: the fraction of steps that advance by exactly one
 slot, the number of distinct cache lines touched, and the mean absolute
 gap.
+
+Reports are named tuples, as trace events are, so they compare equal to
+plain tuples of their fields.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .pool import Pool, too_large
 
@@ -27,16 +29,14 @@ GENERATOR_NAME = "mt19937"  # random.Random; identity recorded in reports
 DEFAULT_LINE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class LocalityReport:
+class LocalityReport(NamedTuple):
     sequential_fraction: float
     distinct_lines: int
     mean_abs_gap: float
     traversal_len: int
 
 
-@dataclass(frozen=True)
-class LifecycleReport:
+class LifecycleReport(NamedTuple):
     policy_kind: str
     node_count: int
     seed: int

@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -131,6 +134,18 @@ class TestReplay:
         assert code == 1
         assert err
 
+    def test_trace_too_large_for_memory_exits_one(self, capsys, monkeypatch,
+                                                  tmp_path):
+        def parse_trace(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_trace", parse_trace)
+        path = self.write_trace(tmp_path, "alloc a\n")
+        code, out, err = run_cli(capsys, "replay", "--trace", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: trace {path} does not fit in memory\n"
+
     def test_bitmap_and_linear_identical_without_hints(self, capsys, tmp_path):
         text = "alloc a\nalloc b\nalloc c\nfree b\nalloc d\nfree a\nalloc e\n"
         path = self.write_trace(tmp_path, text)
@@ -258,6 +273,21 @@ def test_unknown_flag_shows_the_subcommand_usage(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith(f"usage: bitfit {argv[0]} [-h]")
     assert f"bitfit {argv[0]}: error: unrecognized arguments: --bogus\n" in err
+
+
+def test_import_loads_no_dataclasses_chain():
+    # dataclasses drags in inspect, ast, dis and tokenize, about 1 MB of
+    # resident memory in every process; -S keeps site's own imports out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bitfit.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    loaded = set(done.stdout.split())
+    assert "bitfit.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis",
+                              "tokenize"})
 
 
 def test_identical_configs_yield_identical_json(capsys):

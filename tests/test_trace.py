@@ -16,6 +16,7 @@ from bitfit import (
     run_list_lifecycle,
     run_random_churn,
 )
+from bitfit.trace import ALLOC, ALLOC_HINT, FREE
 from bitfit.workload import measure
 from oracles import parse_trace_reference
 
@@ -39,6 +40,14 @@ class TestParse:
             TraceEvent("free", "a", None, 2),
             TraceEvent("alloc_hint", "b", "a", 3),
         ]
+
+    def test_ops_are_the_module_constants(self):
+        # every event shares its op string with the module rather than
+        # holding its own copy from the match
+        events = parse_trace("alloc a\nalloc_hint b a\nfree a\n" * 3)
+        ops = [ALLOC, ALLOC_HINT, FREE] * 3
+        assert [ev.op for ev in events] == ops
+        assert all(ev.op is op for ev, op in zip(events, ops))
 
     def test_missing_id_is_syntax_error(self):
         with pytest.raises(TraceSyntaxError) as err:
