@@ -1,8 +1,10 @@
 """Command-line interface: benchmarks, trace replay, and a worked demo.
 
 Exit codes: 0 success, 1 runtime or trace error, 2 usage error.
-Configuration is flags-only; no environment variables are consulted, and
-identical flags produce byte-identical output unless --timestamp is given.
+Configuration is flags-only, and identical flags produce byte-identical
+output unless --timestamp is given.  No environment variable changes the
+output; the one consulted is tempfile's TMPDIR, the directory where replay
+output beyond SPOOL_BYTES waits until the replay has succeeded.
 """
 
 import argparse
@@ -10,11 +12,12 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .bittree import BitTree
-from .errors import AllocatorError, TraceError
-from .pool import POLICY_KINDS
-from .trace import decode_trace, parse_trace, replay
+from .errors import AllocatorError, TraceError, TraceSyntaxError
+from .pool import POLICY_KINDS, Pool
+from .trace import parse_trace, read_blocks, replay
 from .workload import LocalityReport, run_list_lifecycle, run_random_churn
 
 ALLOCATOR_CHOICES = tuple(kind.replace("_", "-") for kind in POLICY_KINDS)
@@ -32,23 +35,42 @@ REPORT_SCHEMA = {
 
 LOCALITY_FIELDS = LocalityReport._fields
 
+# bytes of replay output held in memory before they spill to a file
+SPOOL_BYTES = 1 << 20
+
+# one record of a replay's JSON report as json.dumps(indent=2,
+# sort_keys=True) writes it, comma first; the id goes in already quoted
+# by encode_basestring_ascii, the encoder json.dumps uses, and ops are
+# plain words
+_JSON_RECORD = (',\n        {\n          "id": %s,\n          "line": %d,'
+                '\n          "offset": %d,\n          "op": "%s",'
+                '\n          "slot": %d\n        }')
+
+
+def _converted(convert, noun: str, text: str):
+    # argparse names the converter in its own message, so say it plainly
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _converted(int, "an integer", text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _converted(int, "an integer", text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _fill_ratio(text: str) -> float:
-    value = float(text)
+    value = _converted(float, "a number", text)
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
     return value
@@ -155,37 +177,69 @@ def cmd_bench(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    # imported here, so that importing bitfit.cli loads neither
+    import shutil
+    import tempfile
+
     policy = _policy_kind(args.allocator)
     config = _config_dict(
         args, ("allocator", "slots", "slot_size", "trace"))
+    # the report waits in the spool until the last block has replayed, so
+    # a failed replay writes nothing to stdout
+    spool = tempfile.SpooledTemporaryFile(SPOOL_BYTES, "w+", encoding="utf-8",
+                                          newline="")
     try:
-        with open(args.trace, "rb") as fh:
-            # no name holds the parsed events, so those of frees die as
-            # soon as replay returns, before the rows are built
-            records = replay(parse_trace(decode_trace(fh.read())),
-                             policy, args.slots, args.slot_size)
+        with spool, open(args.trace, "rb") as fh:
+            pool = Pool(args.slot_size, args.slots, policy)  # before any line
+            _replay_blocks(fh, pool, args.format == "json", config, spool)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
     except MemoryError:
         print(f"error: trace {args.trace} does not fit in memory",
               file=sys.stderr)
         return 1
-
-    if args.format == "json":
-        body = {
-            "kind": "replay",
-            "records": [
-                {"line": line_no, "op": op, "id": id_, "slot": slot,
-                 "offset": offset}
-                for (op, id_, _, line_no), slot, offset in records
-            ],
-        }
-        _emit_json({"command": "replay", "config": config, "reports": [body]})
-    else:
-        # text and csv share the canonical record table, written at once
-        rows = ["line,op,id,slot,offset\n"]
-        rows += [f"{line_no},{op},{id_},{slot},{offset}\n"
-                 for (op, id_, _, line_no), slot, offset in records]
-        sys.stdout.write("".join(rows))
     return 0
+
+
+def _replay_blocks(fh, pool, as_json, config, out) -> None:
+    """Replay the trace in ``fh`` block by block and write its report to
+    ``out``.  A failure is raised at the earliest line that fails, whether
+    it fails to decode, to parse or to replay."""
+    if as_json:
+        # the report around an empty record list, cut open inside the list
+        body = {"kind": "replay", "records": []}
+        doc = json.dumps({"command": "replay", "config": config,
+                          "reports": [body]}, indent=2, sort_keys=True)
+        head, opening, tail = doc.rpartition('"records": [')
+        out.write(head + opening)
+        comma = 1  # the first record drops its leading comma
+    else:
+        # text and csv share the canonical record table
+        out.write("line,op,id,slot,offset\n")
+    live = {}
+    for first_line, block in read_blocks(fh):
+        try:
+            events = parse_trace(block, first_line)
+        except TraceSyntaxError as exc:
+            # a replay error on an earlier line of the block comes first
+            head_lines = block.splitlines(True)[:exc.line_no - first_line]
+            replay(parse_trace("".join(head_lines), first_line), pool, live)
+            raise
+        records = replay(events, pool, live)
+        if as_json:
+            if records:
+                out.write("".join([
+                    _JSON_RECORD % (encode_basestring_ascii(id_), line_no,
+                                    offset, op, slot)
+                    for (op, id_, _, line_no), slot, offset in records
+                ])[comma:])
+                comma = 0
+        else:
+            out.write("".join([
+                f"{line_no},{op},{id_},{slot},{offset}\n"
+                for (op, id_, _, line_no), slot, offset in records]))
+    if as_json:
+        out.write(("" if comma else "\n      ") + tail + "\n")
 
 
 def _bit_rows(tree: BitTree) -> str:

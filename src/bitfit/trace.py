@@ -1,4 +1,4 @@
-"""Text allocation traces: parse, format, generate, and replay.
+"""Text allocation traces: read, parse, format, generate, and replay.
 
 Grammar, one event per line, tokens separated by any run of whitespace:
 
@@ -11,12 +11,21 @@ Grammar, one event per line, tokens separated by any run of whitespace:
 trace replays through any policy.  ``generate_trace`` writes the schedule
 of a workload from ``workload`` as a trace.
 
+A trace file is read in blocks of ``BLOCK_BYTES`` bytes: ``read_blocks``
+yields whole lines with the number of the first, ``parse_trace`` parses
+one block and ``replay`` runs its events through a pool and a live-id map
+that the caller keeps from block to block.  Memory is bounded by the live
+ids and one block (or one line, if a line is longer), not by the length
+of the trace.
+
 Events and replay records are named tuples, so they compare equal to
 plain tuples of their fields.
 """
 
+import codecs
 import re
-from typing import List, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from .errors import (
     AllocatorError,
@@ -41,6 +50,9 @@ _ARITY = {ALLOC: 2, FREE: 2, ALLOC_HINT: 3}
 # op string instead of holding the copy the match made.
 _OPS = {op: op for op in _ARITY}
 
+# bytes read from a trace file at a time
+BLOCK_BYTES = 8192
+
 
 class TraceEvent(NamedTuple):
     op: str
@@ -60,25 +72,65 @@ class ReplayRecord(NamedTuple):
 _make = tuple.__new__
 
 
-def decode_trace(data: bytes) -> str:
-    """Decode trace bytes as UTF-8; a bad byte is a syntax error on its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # count lines the way parse_trace does: the bad byte ends a partial
-        # line, so a sentinel character stands in for it
-        head = data[:exc.start].decode("utf-8") + "x"
-        raise TraceSyntaxError(
-            len(head.splitlines()),
-            f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+def read_blocks(fh: BinaryIO) -> Iterator[Tuple[int, str]]:
+    """Read a binary trace file ``BLOCK_BYTES`` at a time and yield
+    ``(first_line, text)``: ``text`` is one or more whole lines, and
+    ``first_line`` numbers the first of them as ``str.splitlines`` would
+    number the lines of the whole file.  The last line need not end in a
+    line break.  A bad UTF-8 byte is a syntax error on its line, raised
+    once the lines before it are yielded.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    first_line = 1
+    partial = []      # pieces of the line that no block has ended yet
+    after_cr = False  # the text so far ends in "\r", which a "\n" would join
+    while True:
+        data = fh.read(BLOCK_BYTES)
+        bad = None
+        try:
+            piece = decode(data, not data)
+        except UnicodeDecodeError as exc:
+            # the bad byte ends a partial line, so a sentinel character
+            # stands in for it
+            bad = exc.object[exc.start]
+            piece = exc.object[:exc.start].decode("utf-8") + "x"
+        if piece:
+            if after_cr and piece[0] == "\n":  # the rest of a "\r\n" break
+                piece = piece[1:]
+            after_cr = piece[-1:] == "\r"
+        cut, count = _whole_lines(piece)
+        if cut:
+            partial.append(piece[:cut])
+            yield first_line, "".join(partial)
+            first_line += count
+            partial.clear()
+        if bad is not None:
+            raise TraceSyntaxError(first_line,
+                                   f"invalid UTF-8 byte 0x{bad:02x}")
+        if cut < len(piece):
+            partial.append(piece[cut:])
+        if not data:
+            if partial:
+                yield first_line, "".join(partial)
+            return
 
 
-def parse_trace(text: str) -> List[TraceEvent]:
+def _whole_lines(text: str) -> Tuple[int, int]:
+    """The length of the whole lines that ``text`` starts with, and their
+    count; a ``"\r"`` at the end counts as the end of a line."""
+    lines = text.splitlines(True)
+    if lines and lines[-1].splitlines() == [lines[-1]]:  # the last is partial
+        return len(text) - len(lines[-1]), len(lines) - 1
+    return len(text), len(lines)
+
+
+def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
+    """Parse the lines of ``text``, numbering them from ``first_line``."""
     events = []
     append = events.append
     match = _LINE_RE.fullmatch
     ops = _OPS
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), first_line):
         m = match(raw)
         if m is None:
             raise _syntax_error(line_no, raw)
@@ -108,16 +160,17 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def replay(events: Sequence[TraceEvent], policy_kind: str, capacity: int,
-           slot_size: int = 1) -> List[ReplayRecord]:
-    """Run a parsed trace through a fresh pool, one record per allocation.
+def replay(events: Sequence[TraceEvent], pool: Pool,
+           live: Dict[str, int]) -> List[ReplayRecord]:
+    """Run parsed events through ``pool``, one record per allocation.
 
-    Id liveness is checked here, not at parse time; allocator failures
-    surface as ReplayError carrying the trace line.
+    ``live`` maps each live id to its offset; it is updated in place, so
+    the events of a trace can be replayed in pieces through one pool and
+    one map.  Id liveness is checked here, not at parse time; allocator
+    failures surface as ReplayError carrying the trace line.
     """
-    pool = Pool(slot_size, capacity, policy_kind)
     acquire, acquire_near, release = pool.acquire, pool.acquire_near, pool.release
-    live = {}
+    slot_size = pool.slot_size
     records = []
     append = records.append
     for ev in events:

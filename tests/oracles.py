@@ -123,3 +123,39 @@ def lifecycle_free_order_reference(node_count, seed):
     rng = random.Random(seed)
     values = [rng.randint(0, 100) for _ in range(node_count)]
     return sorted(range(node_count), key=values.__getitem__)
+
+
+def replay_csv_reference(data, slots, slot_size, allocator="bitmap"):
+    """``bitfit replay --format csv`` of trace bytes the whole-file way:
+    decode all of it, parse all of it, then replay the events before the
+    earliest line that fails to decode or parse, so that a replay error
+    there is reported first.  Returns (exit code, stdout, stderr)."""
+    from bitfit import Pool, TraceError, TraceSyntaxError, replay
+
+    first_error = None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte ends a partial line: a sentinel stands in for it
+        head = data[:exc.start].decode("utf-8") + "x"
+        first_error = TraceSyntaxError(
+            len(head.splitlines()),
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}")
+        text = head[:-1]
+    lines = text.splitlines(True)
+    if first_error is not None:
+        lines = lines[:first_error.line_no - 1]
+    try:
+        events = parse_trace_reference("".join(lines))
+    except TraceSyntaxError as exc:
+        first_error = exc
+        events = parse_trace_reference("".join(lines[:exc.line_no - 1]))
+    try:
+        records = replay(events, Pool(slot_size, slots, allocator), {})
+    except TraceError as exc:
+        return 1, "", f"error: {exc}\n"
+    if first_error is not None:
+        return 1, "", f"error: {first_error}\n"
+    rows = [f"{ev.line_no},{ev.op},{ev.id},{slot},{offset}\n"
+            for ev, slot, offset in records]
+    return 0, "line,op,id,slot,offset\n" + "".join(rows), ""

@@ -1,16 +1,25 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bitfit import cli, pool, trace, workload
+from bitfit import cli, generate_trace, pool, trace, workload
 from bitfit.cli import LOCALITY_FIELDS, REPORT_SCHEMA, main
+from oracles import replay_csv_reference
 
 
 def run_cli(capsys, *argv):
@@ -136,7 +145,7 @@ class TestReplay:
 
     def test_trace_too_large_for_memory_exits_one(self, capsys, monkeypatch,
                                                   tmp_path):
-        def parse_trace(text):
+        def parse_trace(text, first_line=1):
             raise MemoryError
 
         monkeypatch.setattr(cli, "parse_trace", parse_trace)
@@ -145,6 +154,112 @@ class TestReplay:
         assert code == 1
         assert out == ""
         assert err == f"error: trace {path} does not fit in memory\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_memory_error_while_output_is_built_exits_one(
+            self, capsys, monkeypatch, tmp_path, fmt):
+        # the records reach the output one by one, then memory runs out
+        def replay(*args):
+            yield from trace.replay(*args)
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "replay", replay)
+        path = self.write_trace(tmp_path, "alloc a\nalloc b\n")
+        code, out, err = run_cli(capsys, "replay", "--trace", path,
+                                 "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: trace {path} does not fit in memory\n"
+
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    @pytest.mark.parametrize("data, error", [
+        (b"alloc a\nfree b\nalloc\n", "line 2: free of unknown id 'b'"),
+        (b"alloc a\nfree b\n\xff\n", "line 2: free of unknown id 'b'"),
+        (b"alloc a\nalloc\nfree b\n", "line 2: cannot parse 'alloc'"),
+        (b"alloc a\n\xffree b\nalloc\n",
+         "line 2: invalid UTF-8 byte 0xff"),
+    ], ids=["replay-then-syntax", "replay-then-utf8", "syntax-then-replay",
+            "utf8-then-replay"])
+    def test_earliest_failing_line_is_reported(self, capsys, monkeypatch,
+                                               tmp_path, block, data, error):
+        # a replay error is found only by replaying the lines before it,
+        # so a later line that fails to decode or parse comes second
+        monkeypatch.setattr(trace, "BLOCK_BYTES", block)
+        path = tmp_path / "trace.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "replay", "--trace", str(path))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "alloc a\n",
+        "# é\n\nalloc a\r\n\talloc_hint b\ta\nfree a\x85alloc c",
+    ], ids=["empty", "comment", "one", "loose"])
+    @pytest.mark.parametrize("block", [1, 5, 8192])
+    def test_json_is_what_json_dumps_writes(self, capsys, monkeypatch,
+                                            tmp_path, text, block):
+        monkeypatch.setattr(trace, "BLOCK_BYTES", block)
+        path = self.write_trace(tmp_path, text)
+        argv = ["replay", "--trace", path, "--slots", "8"]
+        code, table, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        records = [
+            {"line": int(line), "op": op, "id": id_, "slot": int(slot),
+             "offset": int(offset)}
+            for line, op, id_, slot, offset in (
+                row.split(",") for row in table.splitlines()[1:])
+        ]
+        payload = {
+            "command": "replay",
+            "config": {"allocator": "bitmap", "slots": 8, "slot_size": 32,
+                       "trace": path},
+            "reports": [{"kind": "replay", "records": records}],
+        }
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_json_escapes_ids_as_json_dumps_does(self, capsys, monkeypatch,
+                                                 tmp_path):
+        # ids the trace grammar rejects, so that the JSON writer does not
+        # rely on that grammar to leave them unescaped
+        ids = ['q"uote', "back\\slash", "café", "tab\there", " "]
+        monkeypatch.setattr(cli, "parse_trace", lambda text, first_line=1: [
+            trace.TraceEvent(trace.ALLOC, id_, None, n)
+            for n, id_ in enumerate(ids, first_line)])
+        path = self.write_trace(tmp_path, "alloc a\n")
+        code, out, _ = run_cli(capsys, "replay", "--trace", path,
+                               "--slots", "8", "--format", "json")
+        assert code == 0
+        records = [{"line": n, "op": "alloc", "id": id_, "slot": n - 1,
+                    "offset": 32 * (n - 1)} for n, id_ in enumerate(ids, 1)]
+        payload = {
+            "command": "replay",
+            "config": {"allocator": "bitmap", "slots": 8, "slot_size": 32,
+                       "trace": path},
+            "reports": [{"kind": "replay", "records": records}],
+        }
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_unwritable_spool_file_is_an_error_line(self, capsys,
+                                                     monkeypatch, tmp_path):
+        # output past SPOOL_BYTES goes to a file in tempfile's directory
+        monkeypatch.setattr(cli, "SPOOL_BYTES", 16)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        path = self.write_trace(tmp_path, "alloc a\nalloc b\n")
+        code, out, err = run_cli(capsys, "replay", "--trace", path,
+                                 "--slots", "8", "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] ")
+        assert err.count("\n") == 1
+
+    def test_pool_too_large_is_reported_before_the_trace_is_read(
+            self, capsys, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"alloc\n\xff\n")
+        code, out, err = run_cli(capsys, "replay", "--trace", str(path),
+                                 "--slots", str(2**61))
+        assert (code, out) == (1, "")
+        assert err == f"error: a pool of {2**61} slots does not fit in memory\n"
 
     def test_bitmap_and_linear_identical_without_hints(self, capsys, tmp_path):
         text = "alloc a\nalloc b\nalloc c\nfree b\nalloc d\nfree a\nalloc e\n"
@@ -532,3 +647,107 @@ class TestOneParserPerProcess:
             code, out, _ = run_cli(capsys, *pinned_argv(case))
             assert code == 0
             assert sha256_of(out) == PINNED_STDOUT_SHA256[case]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--slots", "abc"], "argument --slots: not an integer: 'abc'"),
+    (["bench", "--slot-size", "1.5"],
+     "argument --slot-size: not an integer: '1.5'"),
+    (["bench", "--line-size", ""], "argument --line-size: not an integer: ''"),
+    (["bench", "--workload", "churn", "--ops", "many"],
+     "argument --ops: not an integer: 'many'"),
+    (["bench", "--workload", "churn", "--fill", "x"],
+     "argument --fill: not a number: 'x'"),
+    (["replay", "--trace", "t.txt", "--slots", "2**8"],
+     "argument --slots: not an integer: '2**8'"),
+    (["replay", "--trace", "t.txt", "--slot-size", "x"],
+     "argument --slot-size: not an integer: 'x'"),
+], ids=lambda value: value if isinstance(value, str) else "-".join(value[:3]))
+def test_bad_number_is_a_plain_usage_error(capsys, argv, message):
+    # the message names the flag and the value, not a converter function
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"bitfit {argv[0]}: error: {message}"
+
+
+class TestBlocks:
+    """``bitfit replay`` reads its trace a block at a time; its output is
+    that of the whole-file reference at any block size."""
+
+    BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+    COMMENTS = ["", "# é", "#€ \U0001F600", "  # ü\u2030"]
+    BAD_BYTES = [b"\xff", b"\x80", b"\xc3(", b"\xe2\x82", b"\xf0\x9f\x98"]
+
+    @st.composite
+    def traces(draw):
+        """Trace bytes: a valid churn with comments, every line break
+        str.splitlines knows, maybe one fault (an unknown free, a live id
+        allocated again, a syntax error) and maybe one bad byte."""
+        lines, live = [], []
+        for n in range(draw(st.integers(0, 14))):
+            step = draw(st.sampled_from(["alloc", "alloc", "hint", "free",
+                                         "comment"]))
+            if step == "comment":
+                lines.append(draw(st.sampled_from(TestBlocks.COMMENTS)))
+            elif step == "free" and live:
+                lines.append(f"free {live.pop(draw(st.integers(0, len(live) - 1)))}")
+            elif step == "hint" and live:
+                lines.append(f"alloc_hint c{n} {draw(st.sampled_from(live))}")
+                live.append(f"c{n}")
+            else:
+                lines.append(f"alloc c{n}")
+                live.append(f"c{n}")
+        fault = draw(st.sampled_from([None, "free zz", "alloc c0", "alloc"]))
+        if fault:
+            lines.insert(draw(st.integers(0, len(lines))), fault)
+        breaks = draw(st.lists(st.sampled_from(TestBlocks.BREAKS),
+                               min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        if text and draw(st.booleans()):
+            text = text[:-len(breaks[-1])]  # no final line break
+        data = text.encode()
+        bad = draw(st.sampled_from([None, *TestBlocks.BAD_BYTES]))
+        if bad:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + bad + data[at:]
+        return data
+
+    @given(data=traces(), block=st.integers(1, 7))
+    @example(data=b"", block=1)
+    @example(data=b"alloc a\r\nfree a\r\nfree a\r\n", block=2)
+    @example(data="# é\nalloc a\nfree b\n\xff".encode("latin-1"), block=3)
+    @settings(max_examples=400, deadline=None)
+    def test_output_matches_whole_file_reference(self, tmp_path_factory,
+                                                 data, block):
+        path = tmp_path_factory.getbasetemp() / "blocks.trace"
+        path.write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(trace, "BLOCK_BYTES", block), \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["replay", "--trace", str(path), "--slots", "3",
+                         "--slot-size", "8", "--format", "csv"])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == \
+            replay_csv_reference(data, 3, 8)
+
+    def test_memory_stays_bounded(self, monkeypatch, tmp_path):
+        # the same live-id count over a trace four times as long: the
+        # parsed events, records and output lines must not pile up
+        monkeypatch.setattr(cli, "SPOOL_BYTES", 4096)
+        peaks = {}
+        for ops in (4_000, 4_000, 16_000):  # the first call warms up
+            path = tmp_path / f"churn-{ops}.trace"
+            path.write_text(generate_trace(
+                "churn", capacity=512, target_fill=0.7, ops=ops, seed=1))
+            with open(os.devnull, "w") as devnull, \
+                    contextlib.redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    code = main(["replay", "--trace", str(path), "--slots",
+                                 "512", "--format", "csv"])
+                    peaks[ops] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert code == 0
+        assert peaks[16_000] < peaks[4_000] + 32 * 1024

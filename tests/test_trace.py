@@ -1,9 +1,12 @@
+import io
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfit import (
     POLICY_KINDS,
+    Pool,
     DuplicateId,
     ReplayError,
     TraceEvent,
@@ -16,7 +19,8 @@ from bitfit import (
     run_list_lifecycle,
     run_random_churn,
 )
-from bitfit.trace import ALLOC, ALLOC_HINT, FREE
+from bitfit import trace
+from bitfit.trace import ALLOC, ALLOC_HINT, FREE, read_blocks
 from bitfit.workload import measure
 from oracles import parse_trace_reference
 
@@ -105,6 +109,35 @@ class TestParse:
             assert parse_trace(text) == expected
 
 
+class TestReadBlocks:
+    DATA = "alloc a\r\n# é€\x85free a\ralloc_hint b a\u2028\n\nalloc c".encode()
+
+    @pytest.mark.parametrize("block", range(1, 12))
+    def test_blocks_parse_as_the_whole_text(self, monkeypatch, block):
+        monkeypatch.setattr(trace, "BLOCK_BYTES", block)
+        blocks = list(read_blocks(io.BytesIO(self.DATA)))
+        # every block but the last ends at a line break, and each numbers
+        # its lines as the whole file does
+        assert all(text.splitlines(True)[-1] != text.splitlines()[-1]
+                   for _, text in blocks[:-1])
+        events = [ev for first_line, text in blocks
+                  for ev in parse_trace(text, first_line)]
+        assert events == parse_trace(self.DATA.decode())
+        assert [ev.line_no for ev in events] == [1, 3, 4, 7]
+
+    @pytest.mark.parametrize("block", [1, 2, 8192])
+    def test_bad_byte_ends_the_blocks_after_the_lines_before_it(
+            self, monkeypatch, block):
+        monkeypatch.setattr(trace, "BLOCK_BYTES", block)
+        blocks = read_blocks(io.BytesIO(b"alloc a\r\nfree a\rx\xe2\x82\n"))
+        texts = []
+        with pytest.raises(TraceSyntaxError) as err:
+            for first_line, text in blocks:
+                texts.append(text)
+        assert str(err.value) == "line 3: invalid UTF-8 byte 0xe2"
+        assert "".join(texts).splitlines() == ["alloc a", "free a"]
+
+
 class TestRoundTrip:
     def test_explicit(self):
         text = "alloc a\nalloc_hint b a\nfree a\n"
@@ -129,7 +162,7 @@ class TestReplay:
     def test_freed_slot_is_reused(self):
         events = parse_trace("alloc a\nalloc b\nfree a\nalloc c\n")
         for kind in ("bitmap", "freelist_lifo"):
-            records = replay(events, kind, 8, 16)
+            records = replay(events, Pool(16, 8, kind), {})
             assert [r.slot for r in records] == [0, 1, 0]
             assert [r.offset for r in records] == [0, 16, 0]
 
@@ -137,34 +170,35 @@ class TestReplay:
         lines = [f"alloc n{i}" for i in range(8)]
         lines += [f"free n{i}" for i in range(4)]
         lines.append("alloc_hint x n4")
-        records = replay(parse_trace("\n".join(lines) + "\n"), "bitmap", 8, 32)
+        records = replay(parse_trace("\n".join(lines) + "\n"),
+                         Pool(32, 8, "bitmap"), {})
         assert records[-1].slot == 3
 
     def test_free_of_unknown_id_cites_line(self):
         with pytest.raises(UnknownId) as err:
-            replay(parse_trace("alloc a\nfree b\n"), "bitmap", 8)
+            replay(parse_trace("alloc a\nfree b\n"), Pool(1, 8, "bitmap"), {})
         assert err.value.line_no == 2
 
     def test_duplicate_alloc_id(self):
         with pytest.raises(DuplicateId):
-            replay(parse_trace("alloc a\nalloc a\n"), "bitmap", 8)
+            replay(parse_trace("alloc a\nalloc a\n"), Pool(1, 8, "bitmap"), {})
 
     def test_hint_of_unknown_id(self):
         with pytest.raises(UnknownId):
-            replay(parse_trace("alloc_hint a b\n"), "bitmap", 8)
+            replay(parse_trace("alloc_hint a b\n"), Pool(1, 8, "bitmap"), {})
 
     def test_pool_exhaustion_cites_line(self):
         text = "alloc a\nalloc b\nalloc c\n"
         with pytest.raises(ReplayError) as err:
-            replay(parse_trace(text), "bitmap", 2)
+            replay(parse_trace(text), Pool(1, 2, "bitmap"), {})
         assert err.value.line_no == 3
 
     def test_tree_and_linear_oracle_agree_without_hints(self):
         text = generate_trace("churn", seed=5, capacity=64, target_fill=0.6,
                               ops=500)
         events = parse_trace(text)
-        tree_records = replay(events, "bitmap", 64, 8)
-        linear_records = replay(events, "linear_bitmap", 64, 8)
+        tree_records = replay(events, Pool(8, 64, "bitmap"), {})
+        linear_records = replay(events, Pool(8, 64, "linear_bitmap"), {})
         assert [r.slot for r in tree_records] == [r.slot for r in linear_records]
 
 
@@ -172,17 +206,18 @@ class TestGenerate:
     def test_lifecycle_is_deterministic(self):
         a = generate_trace("lifecycle", seed=7, node_count=4)
         assert a == generate_trace("lifecycle", seed=7, node_count=4)
-        records = replay(parse_trace(a), "bitmap", 4)
-        assert records == replay(parse_trace(a), "bitmap", 4)
+        records = replay(parse_trace(a), Pool(1, 4, "bitmap"), {})
+        assert records == replay(parse_trace(a), Pool(1, 4, "bitmap"), {})
 
     def test_churn_frees_only_live_ids(self):
         text = generate_trace("churn", seed=1, capacity=32, target_fill=0.7,
                               ops=100)
-        replay(parse_trace(text), "freelist_lifo", 32)  # raises if invalid
+        # raises if invalid
+        replay(parse_trace(text), Pool(1, 32, "freelist_lifo"), {})
 
     def test_lifecycle_rebuild_is_in_slot_order_under_bitmap(self):
         text = generate_trace("lifecycle", seed=3, node_count=16)
-        records = replay(parse_trace(text), "bitmap", 16)
+        records = replay(parse_trace(text), Pool(1, 16, "bitmap"), {})
         rebuild = [r.slot for r in records if r.event.id.startswith("m")]
         assert rebuild == list(range(16))
 
@@ -192,7 +227,7 @@ class TestGenerate:
     ])
     def test_lifecycle_trace_reproduces_runner(self, kind, node_count, seed):
         text = generate_trace("lifecycle", seed=seed, node_count=node_count)
-        records = replay(parse_trace(text), kind, node_count, 32)
+        records = replay(parse_trace(text), Pool(32, node_count, kind), {})
         offsets = [r.offset for r in records]
         report = run_list_lifecycle(kind, node_count, 32, seed)
         assert measure(offsets[:node_count], 32) == report.first_traversal
@@ -212,7 +247,8 @@ class TestGenerate:
         events = parse_trace(text)
         live = sum(1 if ev.op == "alloc" else -1 for ev in events)
         refill = [TraceEvent("alloc", f"r{i}") for i in range(capacity - live)]
-        offsets = [r.offset for r in replay(events + refill, kind, capacity, 32)]
+        records = replay(events + refill, Pool(32, capacity, kind), {})
+        offsets = [r.offset for r in records]
         if ops == 0:
             batch = offsets[:live]
         else:
