@@ -55,15 +55,19 @@ def _converted(convert, noun: str, text: str):
         raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    return _converted(int, "an integer", text)
+
+
 def _positive_int(text: str) -> int:
-    value = _converted(int, "an integer", text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _non_negative_int(text: str) -> int:
-    value = _converted(int, "an integer", text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -106,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slots", type=_positive_int, default=1024)
         p.add_argument("--slot-size", type=_positive_int, default=32)
         if seeded:  # a replay draws no random number and measures no cache line
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_integer, default=0)
             p.add_argument("--line-size", type=_positive_int, default=64)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--timestamp", action="store_true",

@@ -1,14 +1,16 @@
 """Text allocation traces: read, parse, format, generate, and replay.
 
-Grammar, one event per line, tokens separated by any run of whitespace:
+Grammar, one event per line:
 
     alloc <id>
     free <id>
     alloc_hint <id> <hint_id>
 
-``#`` starts a comment line; blank lines are skipped; ids match
-``[A-Za-z0-9_]+``.  Hints name live ids rather than raw slots, so the same
-trace replays through any policy.  ``generate_trace`` writes the schedule
+A line is parsed as whitespace tokens, where whitespace is whatever
+``str.split`` splits on, and an id is a run of ``[A-Za-z0-9_]``.  A line
+whose first token starts with ``#`` is a comment; blank lines are
+skipped.  Hints name live ids rather than raw slots, so the same trace
+replays through any policy.  ``generate_trace`` writes the schedule
 of a workload from ``workload`` as a trace.
 
 A trace file is read in blocks of ``BLOCK_BYTES`` bytes: ``read_blocks``
@@ -39,16 +41,16 @@ from .workload import churn_steps, lifecycle_free_order
 
 ALLOC, FREE, ALLOC_HINT = "alloc", "free", "alloc_hint"
 
-_ID = r"([A-Za-z0-9_]+)"
-# The whole grammar of one line.  Groups: 1 op, 2 set only for alloc_hint,
-# 3 id, 4 hint id; a blank or comment line matches with every group None.
-_LINE_RE = re.compile(
-    rf"\s*(?:((alloc_hint)|alloc|free)\s+{_ID}(?(2)\s+{_ID})\s*|#.*)?")
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _ARITY = {ALLOC: 2, FREE: 2, ALLOC_HINT: 3}
-# Maps a matched op to the constant above, so that every event shares one
-# op string instead of holding the copy the match made.
-_OPS = {op: op for op in _ARITY}
+# Maps the op of a two-token line to the constant above, so that every
+# event shares one op string instead of holding the copy the split made.
+_ONE_ID_OPS = {ALLOC: ALLOC, FREE: FREE}
+# written out, because importing string would cost every process memory
+_ID_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+# A block that holds only id characters and ASCII whitespace has no
+# comment and no bad id, so its ids need no test of their own.
+_PLAIN_RE = re.compile(r"[A-Za-z0-9_\s]*", re.ASCII)
 
 # bytes read from a trace file at a time
 BLOCK_BYTES = 8192
@@ -128,25 +130,40 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
     """Parse the lines of ``text``, numbering them from ``first_line``."""
     events = []
     append = events.append
-    match = _LINE_RE.fullmatch
-    ops = _OPS
-    for line_no, raw in enumerate(text.splitlines(), first_line):
-        m = match(raw)
-        if m is None:
-            raise _syntax_error(line_no, raw)
-        op, _, id_, hint_id = m.groups()
-        if op is not None:
-            append(_make(TraceEvent, (ops[op], id_, hint_id, line_no)))
+    one_id_ops = _ONE_ID_OPS
+    is_id = _ID_CHARS.issuperset
+    plain = _PLAIN_RE.fullmatch(text) is not None
+    for line_no, tokens in enumerate(map(str.split, text.splitlines()),
+                                     first_line):
+        n = len(tokens)
+        if n == 2:
+            op = one_id_ops.get(tokens[0])
+            if op is not None and (plain or is_id(tokens[1])):
+                append(_make(TraceEvent, (op, tokens[1], None, line_no)))
+                continue
+        elif n == 3:
+            if tokens[0] == ALLOC_HINT and (
+                    plain or is_id(tokens[1]) and is_id(tokens[2])):
+                append(_make(TraceEvent,
+                             (ALLOC_HINT, tokens[1], tokens[2], line_no)))
+                continue
+        elif not n:
+            continue
+        # a line that no branch took is a comment or an error
+        if tokens[0][0] != "#":
+            raise _syntax_error(text, first_line, line_no)
     return events
 
 
-def _syntax_error(line_no: int, raw: str) -> TraceSyntaxError:
-    """The error for a line ``_LINE_RE`` rejects: a wrong op or token count
-    is reported before a bad id."""
+def _syntax_error(text: str, first_line: int,
+                  line_no: int) -> TraceSyntaxError:
+    """The error for line ``line_no`` of ``text``, which ``parse_trace``
+    rejects: a wrong op or token count is reported before a bad id."""
+    raw = text.splitlines()[line_no - first_line]
     tokens = raw.split()
     if _ARITY.get(tokens[0]) != len(tokens):
         return TraceSyntaxError(line_no, f"cannot parse {raw!r}")
-    bad = next(token for token in tokens[1:] if not _ID_RE.match(token))
+    bad = next(token for token in tokens[1:] if not _ID_CHARS.issuperset(token))
     return TraceSyntaxError(line_no, f"bad id {bad!r}")
 
 

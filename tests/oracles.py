@@ -1,5 +1,5 @@
 """Independent reference implementations used to check the tree allocator,
-the trace parser and the lifecycle's free order.
+every policy kind, the trace parser and the lifecycle's free order.
 
 The tree references work on a plain leaf-occupancy list (index = slot in
 [0, n_leaves), value 0/1 with phantom padding included) and never touch
@@ -8,6 +8,7 @@ the packed tree, so agreement between the two is meaningful.
 
 import random
 import re
+from collections import deque
 
 
 def leaves_of(tree):
@@ -64,6 +65,71 @@ def greedy_hint_reference(leaves, hint):
             else:
                 lo, hi = second
     return lo
+
+
+def _check_hint(hint, capacity):
+    if hint is not None and not 0 <= hint < capacity:
+        raise ValueError(f"hint {hint} not in [0, {capacity})")
+
+
+class FirstFitReference:
+    """A bitmap policy by its definition, over a leaf-occupancy list padded
+    with used phantom leaves to a power of two.  ``allocate`` takes the
+    leftmost free slot; a hint steers it as ``greedy_hint_reference`` does
+    when ``hinted``, and is otherwise range-checked and then ignored."""
+
+    def __init__(self, capacity, hinted):
+        self.capacity, self.hinted = capacity, hinted
+        padding = (1 << (capacity - 1).bit_length()) - capacity
+        self.leaves = [0] * capacity + [1] * padding
+
+    def allocate(self, hint=None):
+        """The slot taken; None when full."""
+        _check_hint(hint, self.capacity)
+        if hint is not None and self.hinted:
+            slot = greedy_hint_reference(self.leaves, hint)
+        else:
+            slot = leftmost_free(self.leaves)
+        if slot is not None:
+            self.leaves[slot] = 1
+        return slot
+
+    def release(self, slot):
+        self.leaves[slot] = 0
+
+
+class FreeListReference:
+    """A free list by its definition: slots never used go out in address
+    order until freed ones wait in a deque, which hands out the newest
+    first (``"lifo"``) or the oldest (``"fifo"``).  A hint is range-checked
+    and then ignored."""
+
+    def __init__(self, capacity, order):
+        self.capacity, self.order = capacity, order
+        self.fresh = 0
+        self.freed = deque()
+
+    def allocate(self, hint=None):
+        """The slot taken; None when full."""
+        _check_hint(hint, self.capacity)
+        if self.freed:
+            return self.freed.pop() if self.order == "lifo" else self.freed.popleft()
+        if self.fresh == self.capacity:
+            return None
+        self.fresh += 1
+        return self.fresh - 1
+
+    def release(self, slot):
+        self.freed.append(slot)
+
+
+# the oracle of each policy kind, called with the capacity
+REFERENCE_POLICIES = {
+    "bitmap": lambda capacity: FirstFitReference(capacity, hinted=True),
+    "linear_bitmap": lambda capacity: FirstFitReference(capacity, hinted=False),
+    "freelist_lifo": lambda capacity: FreeListReference(capacity, "lifo"),
+    "freelist_fifo": lambda capacity: FreeListReference(capacity, "fifo"),
+}
 
 
 def smallest_free_subtree_on_path(leaves, hint):

@@ -405,6 +405,25 @@ def test_import_loads_no_dataclasses_chain():
                               "tokenize"})
 
 
+def test_import_adds_only_bitfit_to_its_stdlib_imports():
+    # every module a process loads costs it memory: past the stdlib
+    # modules that bitfit imports by name, importing the CLI loads only
+    # bitfit's own
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import argparse, codecs, collections, functools, itertools, "
+            "json, json.encoder, random, re, time, typing; "
+            "before = set(sys.modules); import bitfit.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    added = done.stdout.split()
+    assert "bitfit.cli" in added
+    assert [name for name in added
+            if name != "bitfit" and not name.startswith("bitfit.")] == []
+
+
 def test_identical_configs_yield_identical_json(capsys):
     argv = ["bench", "--workload", "lifecycle", "--slots", "256",
             "--slot-size", "32", "--seed", "7", "--format", "json"]
@@ -662,6 +681,7 @@ class TestOneParserPerProcess:
      "argument --slots: not an integer: '2**8'"),
     (["replay", "--trace", "t.txt", "--slot-size", "x"],
      "argument --slot-size: not an integer: 'x'"),
+    (["bench", "--seed", "x"], "argument --seed: not an integer: 'x'"),
 ], ids=lambda value: value if isinstance(value, str) else "-".join(value[:3]))
 def test_bad_number_is_a_plain_usage_error(capsys, argv, message):
     # the message names the flag and the value, not a converter function

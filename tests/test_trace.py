@@ -67,6 +67,38 @@ class TestParse:
             parse_trace("alloc a\nrealloc a\n")
         assert err.value.line_no == 2
 
+    # a block of id characters and ASCII whitespace only, which the parser
+    # takes without a test of each id
+    PLAIN = "alloc a\nalloc_hint b_1 a\n\n  free\ta \nalloc Z9\n"
+
+    @pytest.mark.parametrize("text", [
+        "alloc free\nfree alloc\nalloc_hint alloc_hint free\n",  # op-word ids
+        PLAIN,
+        PLAIN + "# é\n",
+        PLAIN + "alloc b!\n",  # a bad id in an otherwise plain block
+        PLAIN + "alloc_hint é a\n",
+        PLAIN + "alloc\xa0b\xa0a\n",  # a bad line split by no-break spaces
+        "free\xa0a\xa0!\nalloc a\n",
+        "alloc a\nalloc\xa0b!\n",
+    ])
+    @pytest.mark.parametrize("first_line", [1, 7])
+    def test_token_edge_cases_match_reference_parser(self, text, first_line):
+        # blank lines in front number the reference's lines from first_line
+        numbered = "\n" * (first_line - 1) + text
+        try:
+            expected = parse_trace_reference(numbered)
+        except TraceSyntaxError as exc:
+            with pytest.raises(TraceSyntaxError) as err:
+                parse_trace(text, first_line)
+            assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
+        else:
+            assert parse_trace(text, first_line) == expected
+
+    def test_comment_line_leaves_the_events_of_a_plain_block(self):
+        events = parse_trace(self.PLAIN)
+        assert parse_trace(self.PLAIN + "# é\n") == events
+        assert [ev.line_no for ev in events] == [1, 2, 4, 5]
+
     # Lines are drawn from ops, ids, invalid and non-ASCII tokens and
     # whitespace that str.split and the regex \s both split on; line breaks
     # include those str.splitlines adds to "\n".  Most lines are an op and
