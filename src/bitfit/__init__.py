@@ -26,7 +26,6 @@ from .trace import (
     ReplayRecord,
     TraceEvent,
     format_trace,
-    generate_trace,
     parse_trace,
     replay,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "UnknownId",
     "distinct_lines",
     "format_trace",
-    "generate_trace",
     "make_policy",
     "mean_abs_gap",
     "parse_trace",

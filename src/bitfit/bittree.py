@@ -31,8 +31,8 @@ class BitTree:
     count every such access they make, including the root or leaf read
     that ends in ``PoolExhausted`` or ``DoubleFree``; tests use the
     per-operation delta to verify the logarithmic step bound.  Range
-    checks touch no bit and count nothing, and neither do the read-only
-    observers (``is_slot_free``, ``check_integrity``).
+    checks touch no bit and count nothing, and neither does the read-only
+    observer ``check_integrity``.
     """
 
     __slots__ = ("capacity", "n_leaves", "bits", "free_count", "op_steps")
@@ -158,11 +158,6 @@ class BitTree:
             bits[idx] = 0
             steps += 2
         self.op_steps += steps
-
-    def is_slot_free(self, slot: int) -> bool:
-        if not 0 <= slot < self.capacity:
-            raise out_of_range("slot", slot, self.capacity)
-        return self.bits[self.n_leaves - 1 + slot] == 0
 
     def check_integrity(self) -> bool:
         """Verify the AND invariant, phantom padding, and the free count."""

@@ -50,27 +50,14 @@ class Pool:
         self.policy = make_policy(policy_kind, capacity)
 
     @property
-    def size_bytes(self) -> int:
-        return self.capacity * self.slot_size
-
-    @property
     def free_count(self) -> int:
         return self.policy.free_count
-
-    def offset_of(self, slot: int) -> int:
-        return slot * self.slot_size
-
-    def slot_of(self, offset: int) -> int:
-        slot, rem = divmod(offset, self.slot_size)
-        if rem or not 0 <= slot < self.capacity:
-            raise bad_offset(offset, self.slot_size, self.capacity)
-        return slot
 
     def acquire(self) -> int:
         return self.policy.allocate() * self.slot_size
 
-    # acquire_near and release translate the offset inline, as slot_of
-    # does, so a valid offset costs no call
+    # acquire_near and release turn the offset into a slot inline, so a
+    # valid offset costs no call
 
     def acquire_near(self, hint: int) -> int:
         """Allocate near the slot at byte offset ``hint``.

@@ -1,4 +1,4 @@
-"""Text allocation traces: read, parse, format, generate, and replay.
+"""Text allocation traces: read, parse, format, and replay.
 
 Grammar, one event per line:
 
@@ -10,8 +10,7 @@ A line is parsed as whitespace tokens, where whitespace is whatever
 ``str.split`` splits on, and an id is a run of ``[A-Za-z0-9_]``.  A line
 whose first token starts with ``#`` is a comment; blank lines are
 skipped.  Hints name live ids rather than raw slots, so the same trace
-replays through any policy.  ``generate_trace`` writes the schedule
-of a workload from ``workload`` as a trace.
+replays through any policy.
 
 A trace file is read in blocks of ``BLOCK_BYTES`` bytes: ``read_blocks``
 yields whole lines with the number of the first, ``parse_trace`` parses
@@ -37,7 +36,6 @@ from .errors import (
     UnknownId,
 )
 from .pool import Pool
-from .workload import churn_steps, lifecycle_free_order
 
 ALLOC, FREE, ALLOC_HINT = "alloc", "free", "alloc_hint"
 
@@ -213,34 +211,3 @@ def replay(events: Sequence[TraceEvent], pool: Pool,
         live[id_] = offset
         append(_make(ReplayRecord, (ev, offset // slot_size, offset)))
     return records
-
-
-def generate_lifecycle_trace(node_count: int, seed: int) -> str:
-    """Event stream of the list lifecycle: fill, free in value-sorted order, refill."""
-    order = lifecycle_free_order(node_count, seed)
-    lines = [f"alloc n{i}" for i in range(node_count)]
-    lines.extend(f"free n{i}" for i in order)
-    lines.extend(f"alloc m{i}" for i in range(node_count))
-    return "\n".join(lines) + "\n"
-
-
-def generate_churn_trace(capacity: int, target_fill: float, ops: int,
-                         seed: int) -> str:
-    """Random alloc/free stream holding the live count near the target fill."""
-    lines = []
-    fresh = 0
-    for k in churn_steps(capacity, target_fill, ops, seed):
-        if k is None:
-            lines.append(f"alloc c{fresh}")
-            fresh += 1
-        else:
-            lines.append(f"free c{k}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def generate_trace(kind: str, seed: int = 0, **params) -> str:
-    if kind == "lifecycle":
-        return generate_lifecycle_trace(seed=seed, **params)
-    if kind == "churn":
-        return generate_churn_trace(seed=seed, **params)
-    raise ValueError(f"unknown trace kind {kind!r}")

@@ -2,7 +2,8 @@
 
 Each workload's seeded decisions are defined once here, as a schedule
 (``lifecycle_free_order``, ``churn_steps``): the runners drive a ``Pool``
-with it, and ``trace.generate_trace`` writes it out as text.
+with it, and the trace writers in ``tests/oracles.py`` write it out as
+text.
 
 The lifecycle run allocates a list of random-valued nodes, frees every
 node in value order, and allocates the list again.  A list traversed from

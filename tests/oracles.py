@@ -1,5 +1,7 @@
 """Independent reference implementations used to check the tree allocator,
-every policy kind, the trace parser and the lifecycle's free order.
+every policy kind, the trace parser and the lifecycle's free order, and
+the two trace writers, ``lifecycle_trace`` and ``churn_trace``, that write
+a workload's schedule as the text ``bitfit replay`` reads.
 
 The tree references work on a plain leaf-occupancy list (index = slot in
 [0, n_leaves), value 0/1 with phantom padding included) and never touch
@@ -225,3 +227,30 @@ def replay_csv_reference(data, slots, slot_size, allocator="bitmap"):
     rows = [f"{ev.line_no},{ev.op},{ev.id},{slot},{offset}\n"
             for ev, slot, offset in records]
     return 0, "line,op,id,slot,offset\n" + "".join(rows), ""
+
+
+def lifecycle_trace(node_count, seed):
+    """Event stream of the list lifecycle: fill, free in value-sorted order, refill."""
+    # imported here: bench/test_bench.py imports this module without bitfit
+    from bitfit.workload import lifecycle_free_order
+
+    order = lifecycle_free_order(node_count, seed)
+    lines = [f"alloc n{i}" for i in range(node_count)]
+    lines.extend(f"free n{i}" for i in order)
+    lines.extend(f"alloc m{i}" for i in range(node_count))
+    return "\n".join(lines) + "\n"
+
+
+def churn_trace(capacity, target_fill, ops, seed):
+    """Random alloc/free stream holding the live count near the target fill."""
+    from bitfit.workload import churn_steps
+
+    lines = []
+    fresh = 0
+    for k in churn_steps(capacity, target_fill, ops, seed):
+        if k is None:
+            lines.append(f"alloc c{fresh}")
+            fresh += 1
+        else:
+            lines.append(f"free c{k}")
+    return "\n".join(lines) + "\n" if lines else ""

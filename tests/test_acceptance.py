@@ -12,9 +12,14 @@ import pytest
 
 from bitfit import BitTree, LinearBitmapPolicy, PoolExhausted, run_list_lifecycle
 from bitfit.cli import main as cli_main
-from bitfit.trace import format_trace, generate_trace, parse_trace
+from bitfit.trace import format_trace, parse_trace
 
-from oracles import leaves_of, smallest_free_subtree_on_path
+from oracles import (
+    churn_trace,
+    leaves_of,
+    lifecycle_trace,
+    smallest_free_subtree_on_path,
+)
 
 
 def bits_of(tree):
@@ -229,11 +234,8 @@ def test_criterion_6_hint_quality():
 # -- 7. trace round-trip and CLI determinism ----------------------------
 
 def test_criterion_7_round_trip_and_determinism(capsys):
-    for kind, params in (("lifecycle", {"node_count": 50}),
-                         ("churn", {"capacity": 64, "target_fill": 0.6,
-                                    "ops": 300})):
-        for seed in range(3):
-            text = generate_trace(kind, seed=seed, **params)
+    for seed in range(3):
+        for text in (lifecycle_trace(50, seed), churn_trace(64, 0.6, 300, seed)):
             assert format_trace(parse_trace(text)) == text
 
     argv = ["bench", "--workload", "lifecycle", "--allocator", "bitmap",

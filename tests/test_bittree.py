@@ -170,21 +170,6 @@ class TestAllocateWithHint:
 
 
 class TestObservers:
-    def test_fresh_slot_is_free(self):
-        tree = BitTree(4)
-        assert tree.is_slot_free(2)
-
-    def test_allocated_slot_is_not_free(self):
-        tree = BitTree(4)
-        tree.allocate()
-        assert not tree.is_slot_free(0)
-
-    def test_last_usable_slot_reachable_but_not_phantoms(self):
-        tree = BitTree(5)
-        assert tree.is_slot_free(4) == (leaves_of(tree)[4] == 0)
-        with pytest.raises(OutOfRange):
-            tree.is_slot_free(5)
-
     def test_integrity_on_fresh_tree(self):
         assert BitTree(8).check_integrity()
 
@@ -397,7 +382,7 @@ def test_op_steps_equals_bit_accesses(capacity):
             continue
         else:
             slot = rng.choice(freed)
-            if not tree.is_slot_free(slot):
+            if tree.bits[tree.n_leaves - 1 + slot]:  # in use
                 continue
             counted(tree.release, slot)  # double free
             continue

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitfit import cli, generate_trace, pool, trace, workload
+import bitfit
+from bitfit import cli, pool, trace, workload
 from bitfit.cli import LOCALITY_FIELDS, REPORT_SCHEMA, main
-from oracles import replay_csv_reference
+from oracles import churn_trace, replay_csv_reference
 
 
 def run_cli(capsys, *argv):
@@ -405,6 +407,19 @@ def test_import_loads_no_dataclasses_chain():
                               "tokenize"})
 
 
+def test_all_lists_the_public_names_of_the_package():
+    # ``from bitfit import *`` fails on an entry of __all__ that does not
+    # resolve, and __all__ must name, once each, every public name that
+    # bitfit/__init__.py binds except the submodules
+    namespace = {}
+    exec("from bitfit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bitfit.__all__)
+    public = [name for name, value in vars(bitfit).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)]
+    assert sorted(bitfit.__all__) == sorted(public)
+
+
 def test_import_adds_only_bitfit_to_its_stdlib_imports():
     # every module a process loads costs it memory: past the stdlib
     # modules that bitfit imports by name, importing the CLI loads only
@@ -441,7 +456,7 @@ def test_help_exits_zero(capsys):
 def hinted_churn_trace(events=600, capacity=96, seed=5):
     """A seeded churn trace around 70 % fill with about a third of the
     allocations hinted at a random live id.  It is generated here rather
-    than by ``generate_trace`` so that its text never changes."""
+    than by ``oracles.churn_trace`` so that its text never changes."""
     rng = random.Random(seed)
     live, lines = [], []
     for n in range(events):
@@ -758,8 +773,7 @@ class TestBlocks:
         peaks = {}
         for ops in (4_000, 4_000, 16_000):  # the first call warms up
             path = tmp_path / f"churn-{ops}.trace"
-            path.write_text(generate_trace(
-                "churn", capacity=512, target_fill=0.7, ops=ops, seed=1))
+            path.write_text(churn_trace(512, 0.7, ops, 1))
             with open(os.devnull, "w") as devnull, \
                     contextlib.redirect_stdout(devnull):
                 tracemalloc.start()

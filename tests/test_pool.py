@@ -16,13 +16,8 @@ from bitfit.cli import ALLOCATOR_CHOICES
 
 
 class TestConstruction:
-    def test_span_is_capacity_times_slot_size(self):
-        pool = Pool(32, 8, "bitmap")
-        assert pool.size_bytes == 256
-
     def test_one_byte_slots_are_legal(self):
         pool = Pool(1, 8, "bitmap")
-        assert pool.size_bytes == 8
         assert pool.acquire() == 0
         assert pool.acquire() == 1
 
@@ -86,12 +81,12 @@ class TestAcquireNear:
         for _ in range(8):
             pool.acquire()
         for s in range(4):
-            pool.release(pool.offset_of(s))
-        assert pool.acquire_near(pool.offset_of(4)) == pool.offset_of(3)
+            pool.release(32 * s)
+        assert pool.acquire_near(32 * 4) == 32 * 3
 
     def test_free_hint_returned_directly(self):
         pool = Pool(32, 8, "bitmap")
-        assert pool.acquire_near(pool.offset_of(5)) == pool.offset_of(5)
+        assert pool.acquire_near(32 * 5) == 32 * 5
 
     def test_freelist_ignores_hint(self):
         hinted = Pool(32, 8, "freelist_lifo")
@@ -99,8 +94,8 @@ class TestAcquireNear:
         for p in (hinted, plain):
             for _ in range(4):
                 p.acquire()
-            p.release(p.offset_of(1))
-        assert hinted.acquire_near(hinted.offset_of(3)) == plain.acquire()
+            p.release(32 * 1)
+        assert hinted.acquire_near(32 * 3) == plain.acquire()
 
     def test_misaligned_hint(self):
         pool = Pool(32, 8, "bitmap")
@@ -110,7 +105,7 @@ class TestAcquireNear:
     def test_out_of_range_hint(self):
         pool = Pool(32, 8, "bitmap")
         with pytest.raises(OutOfRange):
-            pool.acquire_near(pool.offset_of(8))
+            pool.acquire_near(32 * 8)
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
@@ -138,9 +133,13 @@ def test_out_of_range_messages(kind, index):
 
 
 def test_slot_offset_bijection():
+    # each slot's offset, released, is the offset a hint at it gets back
     pool = Pool(48, 17, "bitmap")
-    for s in range(17):
-        assert pool.slot_of(pool.offset_of(s)) == s
+    offsets = [pool.acquire() for _ in range(17)]
+    assert offsets == [48 * s for s in range(17)]
+    for off in offsets:
+        pool.release(off)
+        assert pool.acquire_near(off) == off
 
 
 def test_policy_interchangeability_legality_only():
@@ -167,7 +166,7 @@ def test_policy_interchangeability_legality_only():
                     trace.append("acquire-ok")
                 else:
                     # hint at a fixed slot; only legality is compared
-                    off = pool.acquire_near(pool.offset_of(5))
+                    off = pool.acquire_near(16 * 5)
                     live.append(off)
                     trace.append("acquire-ok")
             except AllocatorError as exc:

@@ -13,7 +13,6 @@ from bitfit import (
     TraceSyntaxError,
     UnknownId,
     format_trace,
-    generate_trace,
     parse_trace,
     replay,
     run_list_lifecycle,
@@ -22,7 +21,7 @@ from bitfit import (
 from bitfit import trace
 from bitfit.trace import ALLOC, ALLOC_HINT, FREE, read_blocks
 from bitfit.workload import measure
-from oracles import parse_trace_reference
+from oracles import churn_trace, lifecycle_trace, parse_trace_reference
 
 
 class TestParse:
@@ -226,8 +225,7 @@ class TestReplay:
         assert err.value.line_no == 3
 
     def test_tree_and_linear_oracle_agree_without_hints(self):
-        text = generate_trace("churn", seed=5, capacity=64, target_fill=0.6,
-                              ops=500)
+        text = churn_trace(64, 0.6, 500, 5)
         events = parse_trace(text)
         tree_records = replay(events, Pool(8, 64, "bitmap"), {})
         linear_records = replay(events, Pool(8, 64, "linear_bitmap"), {})
@@ -236,19 +234,18 @@ class TestReplay:
 
 class TestGenerate:
     def test_lifecycle_is_deterministic(self):
-        a = generate_trace("lifecycle", seed=7, node_count=4)
-        assert a == generate_trace("lifecycle", seed=7, node_count=4)
+        a = lifecycle_trace(4, 7)
+        assert a == lifecycle_trace(4, 7)
         records = replay(parse_trace(a), Pool(1, 4, "bitmap"), {})
         assert records == replay(parse_trace(a), Pool(1, 4, "bitmap"), {})
 
     def test_churn_frees_only_live_ids(self):
-        text = generate_trace("churn", seed=1, capacity=32, target_fill=0.7,
-                              ops=100)
+        text = churn_trace(32, 0.7, 100, 1)
         # raises if invalid
         replay(parse_trace(text), Pool(1, 32, "freelist_lifo"), {})
 
     def test_lifecycle_rebuild_is_in_slot_order_under_bitmap(self):
-        text = generate_trace("lifecycle", seed=3, node_count=16)
+        text = lifecycle_trace(16, 3)
         records = replay(parse_trace(text), Pool(1, 16, "bitmap"), {})
         rebuild = [r.slot for r in records if r.event.id.startswith("m")]
         assert rebuild == list(range(16))
@@ -258,7 +255,7 @@ class TestGenerate:
         (1, 0), (2, 1), (257, 0), (257, 1), (257, 2),
     ])
     def test_lifecycle_trace_reproduces_runner(self, kind, node_count, seed):
-        text = generate_trace("lifecycle", seed=seed, node_count=node_count)
+        text = lifecycle_trace(node_count, seed)
         records = replay(parse_trace(text), Pool(32, node_count, kind), {})
         offsets = [r.offset for r in records]
         report = run_list_lifecycle(kind, node_count, 32, seed)
@@ -274,8 +271,7 @@ class TestGenerate:
     ])
     def test_churn_trace_reproduces_runner(self, kind, capacity, fill, ops,
                                            seed):
-        text = generate_trace("churn", seed=seed, capacity=capacity,
-                              target_fill=fill, ops=ops)
+        text = churn_trace(capacity, fill, ops, seed)
         events = parse_trace(text)
         live = sum(1 if ev.op == "alloc" else -1 for ev in events)
         refill = [TraceEvent("alloc", f"r{i}") for i in range(capacity - live)]
@@ -288,10 +284,6 @@ class TestGenerate:
         assert measure(batch, 32) == run_random_churn(kind, capacity, fill,
                                                       ops, seed, 32)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            generate_trace("burst", seed=0)
-
     def test_generated_text_round_trips(self):
-        text = generate_trace("lifecycle", seed=9, node_count=6)
+        text = lifecycle_trace(6, 9)
         assert format_trace(parse_trace(text)) == text
