@@ -13,10 +13,7 @@ from .errors import DoubleFree, PoolExhausted, out_of_range
 
 
 def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+    return 1 << (n - 1).bit_length()
 
 
 class BitTree:
@@ -24,7 +21,10 @@ class BitTree:
 
     Capacities that are not powers of two are padded with phantom leaves
     that are permanently marked used, so the complete-tree index
-    arithmetic never needs a bounds branch.
+    arithmetic never needs a bounds branch.  An internal node is a
+    phantom when its whole subtree is; the levels above the first one
+    with no phantom node hold none either, so building a tree over a
+    power-of-two capacity writes no bit.
 
     ``op_steps`` counts tree steps: one step is one read or one write of
     an element of ``bits``.  ``allocate`` (hinted or not) and ``release``
@@ -46,9 +46,11 @@ class BitTree:
         self.free_count = capacity
         self.op_steps = 0
         # On a fresh tree a node is 1 exactly when its whole subtree is
-        # phantom padding; on each level those nodes form a suffix.
+        # phantom padding; on each level those nodes form a suffix.  Once
+        # a level has no phantom node, no level above it has one, so a
+        # power-of-two capacity writes no bit.
         width, first_full = self.n_leaves, capacity
-        while width:
+        while first_full < width:
             bits[width - 1 + first_full:2 * width - 1] = b"\x01" * (width - first_full)
             width >>= 1
             first_full = (first_full + 1) >> 1

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slots", type=_positive_int, default=1024)
         p.add_argument("--slot-size", type=_positive_int, default=32)
         if seeded:  # a replay draws no random number and measures no cache line
-            p.add_argument("--seed", type=_integer, default=0)
+            p.add_argument("--seed", type=_non_negative_int, default=0)
             p.add_argument("--line-size", type=_positive_int, default=64)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--timestamp", action="store_true",

@@ -18,6 +18,15 @@ def leaves_of(tree):
     return list(tree.bits[tree.n_leaves - 1:])
 
 
+def next_pow2_by_doubling(n):
+    """The leaf count of a tree over ``n`` slots: the least power of two
+    that is at least ``n``."""
+    p = 1
+    while p < n:
+        p <<= 1
+    return p
+
+
 def rebuild_internal(leaves):
     """Bottom-up AND rebuild; returns the full level-order bit list."""
     n = len(leaves)

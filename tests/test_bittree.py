@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitfit import BitTree, DoubleFree, OutOfRange, PoolExhausted
+from bitfit.bittree import _next_pow2
 
 from oracles import (
     greedy_hint_reference,
     leaves_of,
     leftmost_free,
+    next_pow2_by_doubling,
     rebuild_internal,
     smallest_free_subtree_on_path,
 )
@@ -19,9 +21,9 @@ def step_bound(n_leaves):
     return 6 * max(1, n_leaves - 1).bit_length() + 4 if n_leaves > 1 else 4
 
 
-# every small capacity, plus each side of every power of two up to 2^12
+# every small capacity, plus each side of every power of two up to 2^16
 PADDED_CAPACITIES = sorted(
-    set(range(1, 71)) | {2 ** k + d for k in range(1, 13) for d in (-1, 0, 1)})
+    set(range(1, 71)) | {2 ** k + d for k in range(1, 17) for d in (-1, 0, 1)})
 
 
 class TestNew:
@@ -51,6 +53,11 @@ class TestNew:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             BitTree(0)
+
+    def test_next_pow2_matches_doubling(self):
+        # each side of every power of two up to 2^64, with no tree built
+        for n in sorted({2 ** k + d for k in range(65) for d in (-1, 0, 1)} - {0}):
+            assert _next_pow2(n) == next_pow2_by_doubling(n), n
 
 
 class TestAllocate:

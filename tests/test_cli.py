@@ -697,6 +697,7 @@ class TestOneParserPerProcess:
     (["replay", "--trace", "t.txt", "--slot-size", "x"],
      "argument --slot-size: not an integer: 'x'"),
     (["bench", "--seed", "x"], "argument --seed: not an integer: 'x'"),
+    (["bench", "--seed", "-7"], "argument --seed: must be >= 0, got -7"),
 ], ids=lambda value: value if isinstance(value, str) else "-".join(value[:3]))
 def test_bad_number_is_a_plain_usage_error(capsys, argv, message):
     # the message names the flag and the value, not a converter function
