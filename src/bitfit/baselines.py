@@ -34,8 +34,10 @@ class FreeListPolicy(_HintIgnoringPolicy):
         if order not in ("lifo", "fifo"):
             raise ValueError(f"unknown order {order!r}")
         self.capacity = capacity
-        self.order = order
         self.free_sequence = deque()
+        # the end of the free list that reuse takes from
+        self._take = (self.free_sequence.pop if order == "lifo"
+                      else self.free_sequence.popleft)
         self._free_set = set()
         self.next_fresh = 0
 
@@ -45,10 +47,7 @@ class FreeListPolicy(_HintIgnoringPolicy):
 
     def allocate(self) -> int:
         if self.free_sequence:
-            if self.order == "lifo":
-                slot = self.free_sequence.pop()
-            else:
-                slot = self.free_sequence.popleft()
+            slot = self._take()
             self._free_set.discard(slot)
             return slot
         if self.next_fresh < self.capacity:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 runtime or trace error, 2 usage error.
 Configuration is flags-only, and identical flags produce byte-identical
-output unless --timestamp is given.  No environment variable changes the
-output; the one consulted is tempfile's TMPDIR, the directory where replay
-output beyond SPOOL_BYTES waits until the replay has succeeded.
+output; --timestamp only adds a key to the JSON config.  No environment
+variable changes the output; the one consulted is tempfile's TMPDIR, the
+directory where replay output beyond SPOOL_BYTES waits until the replay
+has succeeded.
 """
 
 import argparse
@@ -15,9 +16,9 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from .bittree import BitTree
-from .errors import AllocatorError, TraceError, TraceSyntaxError
+from .errors import AllocatorError, TraceError
 from .pool import POLICY_KINDS, Pool
-from .trace import parse_trace, read_blocks, replay
+from .trace import replay_file
 from .workload import LocalityReport, run_list_lifecycle, run_random_churn
 
 ALLOCATOR_CHOICES = tuple(kind.replace("_", "-") for kind in POLICY_KINDS)
@@ -55,22 +56,13 @@ def _converted(convert, noun: str, text: str):
         raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
 
 
-def _integer(text: str) -> int:
-    return _converted(int, "an integer", text)
-
-
-def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        value = _converted(int, "an integer", text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return convert
 
 
 def _fill_ratio(text: str) -> float:
@@ -107,11 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seeded):  # bench and replay; demo reads no flag
         p.add_argument("--allocator", choices=ALLOCATOR_CHOICES, default="bitmap")
-        p.add_argument("--slots", type=_positive_int, default=1024)
-        p.add_argument("--slot-size", type=_positive_int, default=32)
+        p.add_argument("--slots", type=_int_at_least(1), default=1024)
+        p.add_argument("--slot-size", type=_int_at_least(1), default=32)
         if seeded:  # a replay draws no random number and measures no cache line
-            p.add_argument("--seed", type=_non_negative_int, default=0)
-            p.add_argument("--line-size", type=_positive_int, default=64)
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
+            p.add_argument("--line-size", type=_int_at_least(1), default=64)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--timestamp", action="store_true",
                        help="include a wall-clock timestamp in the report")
@@ -122,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="lifecycle")
     bench.add_argument("--fill", type=_fill_ratio, default=0.7,
                        help="target fill ratio for the churn workload")
-    bench.add_argument("--ops", type=_non_negative_int, default=1000,
+    bench.add_argument("--ops", type=_int_at_least(0), default=1000,
                        help="churn operation count")
 
     rep = sub.add_parser("replay", help="replay a trace file")
@@ -138,10 +130,6 @@ def _config_dict(args, keys):
     if args.timestamp:
         config["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     return config
-
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_bench(args) -> int:
@@ -165,7 +153,8 @@ def cmd_bench(args) -> int:
     body.update(traversals)
 
     if args.format == "json":
-        _emit_json({"command": "bench", "config": config, "reports": [body]})
+        print(json.dumps({"command": "bench", "config": config,
+                          "reports": [body]}, indent=2, sort_keys=True))
     elif args.format == "csv":
         print(",".join(("report", *LOCALITY_FIELDS)))
         for name, item in traversals.items():
@@ -192,10 +181,36 @@ def cmd_replay(args) -> int:
     # a failed replay writes nothing to stdout
     spool = tempfile.SpooledTemporaryFile(SPOOL_BYTES, "w+", encoding="utf-8",
                                           newline="")
+    as_json = args.format == "json"
     try:
         with spool, open(args.trace, "rb") as fh:
             pool = Pool(args.slot_size, args.slots, policy)  # before any line
-            _replay_blocks(fh, pool, args.format == "json", config, spool)
+            if as_json:
+                # the report around an empty record list, cut open inside
+                # the list
+                body = {"kind": "replay", "records": []}
+                doc = json.dumps({"command": "replay", "config": config,
+                                  "reports": [body]}, indent=2, sort_keys=True)
+                head, opening, tail = doc.rpartition('"records": [')
+                spool.write(head + opening)
+                comma = 1  # the first record drops its leading comma
+            else:
+                # text and csv share the canonical record table
+                spool.write("line,op,id,slot,offset\n")
+            for records in replay_file(fh, pool):
+                if not as_json:
+                    spool.write("".join([
+                        f"{line_no},{op},{id_},{slot},{offset}\n"
+                        for (op, id_, _, line_no), slot, offset in records]))
+                elif records:
+                    spool.write("".join([
+                        _JSON_RECORD % (encode_basestring_ascii(id_), line_no,
+                                        offset, op, slot)
+                        for (op, id_, _, line_no), slot, offset in records
+                    ])[comma:])
+                    comma = 0
+            if as_json:
+                spool.write(("" if comma else "\n      ") + tail + "\n")
             spool.seek(0)
             shutil.copyfileobj(spool, sys.stdout)
     except MemoryError:
@@ -203,47 +218,6 @@ def cmd_replay(args) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def _replay_blocks(fh, pool, as_json, config, out) -> None:
-    """Replay the trace in ``fh`` block by block and write its report to
-    ``out``.  A failure is raised at the earliest line that fails, whether
-    it fails to decode, to parse or to replay."""
-    if as_json:
-        # the report around an empty record list, cut open inside the list
-        body = {"kind": "replay", "records": []}
-        doc = json.dumps({"command": "replay", "config": config,
-                          "reports": [body]}, indent=2, sort_keys=True)
-        head, opening, tail = doc.rpartition('"records": [')
-        out.write(head + opening)
-        comma = 1  # the first record drops its leading comma
-    else:
-        # text and csv share the canonical record table
-        out.write("line,op,id,slot,offset\n")
-    live = {}
-    for first_line, block in read_blocks(fh):
-        try:
-            events = parse_trace(block, first_line)
-        except TraceSyntaxError as exc:
-            # a replay error on an earlier line of the block comes first
-            head_lines = block.splitlines(True)[:exc.line_no - first_line]
-            replay(parse_trace("".join(head_lines), first_line), pool, live)
-            raise
-        records = replay(events, pool, live)
-        if as_json:
-            if records:
-                out.write("".join([
-                    _JSON_RECORD % (encode_basestring_ascii(id_), line_no,
-                                    offset, op, slot)
-                    for (op, id_, _, line_no), slot, offset in records
-                ])[comma:])
-                comma = 0
-        else:
-            out.write("".join([
-                f"{line_no},{op},{id_},{slot},{offset}\n"
-                for (op, id_, _, line_no), slot, offset in records]))
-    if as_json:
-        out.write(("" if comma else "\n      ") + tail + "\n")
 
 
 def _bit_rows(tree: BitTree) -> str:

@@ -14,10 +14,15 @@ replays through any policy.
 
 A trace file is read in blocks of ``BLOCK_BYTES`` bytes: ``read_blocks``
 yields whole lines with the number of the first, ``parse_trace`` parses
-one block and ``replay`` runs its events through a pool and a live-id map
-that the caller keeps from block to block.  Memory is bounded by the live
-ids and one block (or one line, if a line is longer), not by the length
-of the trace.
+one block and ``replay`` runs its events through a pool and a live-id map.
+``replay_file`` runs the whole file so, keeping the map from block to
+block.  Memory is bounded by the live ids and one block (or one line, if a
+line is longer), not by the length of the trace.
+
+A byte that is not UTF-8 is decoded as the lone surrogate U+DC80 to U+DCFF
+that stands for it (PEP 383's ``surrogateescape``), and ``parse_trace``
+rejects the line that holds one, so the line of a bad byte is reported
+like that of any other bad line.
 
 Events and replay records are named tuples, so they compare equal to
 plain tuples of their fields.
@@ -49,6 +54,8 @@ _ID_CHARS = frozenset(
 # A block that holds only id characters and ASCII whitespace has no
 # comment and no bad id, so its ids need no test of their own.
 _PLAIN_RE = re.compile(r"[A-Za-z0-9_\s]*", re.ASCII)
+# the characters that stand for the bytes 0x80 to 0xff that are not UTF-8
+_BAD_BYTE_RE = re.compile("[\udc80-\udcff]")
 
 # bytes read from a trace file at a time
 BLOCK_BYTES = 8192
@@ -77,23 +84,16 @@ def read_blocks(fh: BinaryIO) -> Iterator[Tuple[int, str]]:
     ``(first_line, text)``: ``text`` is one or more whole lines, and
     ``first_line`` numbers the first of them as ``str.splitlines`` would
     number the lines of the whole file.  The last line need not end in a
-    line break.  A bad UTF-8 byte is a syntax error on its line, raised
-    once the lines before it are yielded.
+    line break.  Never raises on the content: a byte that is not UTF-8
+    reaches ``text`` as its lone surrogate, for ``parse_trace`` to report.
     """
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
     first_line = 1
     partial = []      # pieces of the line that no block has ended yet
     after_cr = False  # the text so far ends in "\r", which a "\n" would join
     while True:
         data = fh.read(BLOCK_BYTES)
-        bad = None
-        try:
-            piece = decode(data, not data)
-        except UnicodeDecodeError as exc:
-            # the bad byte ends a partial line, so a sentinel character
-            # stands in for it
-            bad = exc.object[exc.start]
-            piece = exc.object[:exc.start].decode("utf-8") + "x"
+        piece = decode(data, not data)
         if piece:
             if after_cr and piece[0] == "\n":  # the rest of a "\r\n" break
                 piece = piece[1:]
@@ -104,9 +104,6 @@ def read_blocks(fh: BinaryIO) -> Iterator[Tuple[int, str]]:
             yield first_line, "".join(partial)
             first_line += count
             partial.clear()
-        if bad is not None:
-            raise TraceSyntaxError(first_line,
-                                   f"invalid UTF-8 byte 0x{bad:02x}")
         if cut < len(piece):
             partial.append(piece[cut:])
         if not data:
@@ -125,7 +122,11 @@ def _whole_lines(text: str) -> Tuple[int, int]:
 
 
 def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
-    """Parse the lines of ``text``, numbering them from ``first_line``."""
+    """Parse the lines of ``text``, numbering them from ``first_line``.
+
+    A character U+DC80 to U+DCFF stands for the byte 0x80 to 0xff that
+    ``read_blocks`` could not decode, and fails its line, a comment too.
+    """
     events = []
     append = events.append
     one_id_ops = _ONE_ID_OPS
@@ -148,7 +149,7 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
         elif not n:
             continue
         # a line that no branch took is a comment or an error
-        if tokens[0][0] != "#":
+        if tokens[0][0] != "#" or _BAD_BYTE_RE.search(" ".join(tokens)):
             raise _syntax_error(text, first_line, line_no)
     return events
 
@@ -156,8 +157,13 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
 def _syntax_error(text: str, first_line: int,
                   line_no: int) -> TraceSyntaxError:
     """The error for line ``line_no`` of ``text``, which ``parse_trace``
-    rejects: a wrong op or token count is reported before a bad id."""
+    rejects: a byte that is not UTF-8 is reported first, then a wrong op
+    or token count, then a bad id."""
     raw = text.splitlines()[line_no - first_line]
+    bad_byte = _BAD_BYTE_RE.search(raw)
+    if bad_byte:
+        return TraceSyntaxError(
+            line_no, f"invalid UTF-8 byte 0x{ord(bad_byte[0]) - 0xDC00:02x}")
     tokens = raw.split()
     if _ARITY.get(tokens[0]) != len(tokens):
         return TraceSyntaxError(line_no, f"cannot parse {raw!r}")
@@ -211,3 +217,20 @@ def replay(events: Sequence[TraceEvent], pool: Pool,
         live[id_] = offset
         append(_make(ReplayRecord, (ev, offset // slot_size, offset)))
     return records
+
+
+def replay_file(fh: BinaryIO, pool: Pool) -> Iterator[List[ReplayRecord]]:
+    """Replay the binary trace file ``fh`` through ``pool`` block by block
+    and yield each block's records.  A failure is raised at the earliest
+    line that fails, whether it fails to decode, to parse or to replay.
+    """
+    live = {}
+    for first_line, block in read_blocks(fh):
+        try:
+            events = parse_trace(block, first_line)
+        except TraceSyntaxError as exc:
+            # a replay error on an earlier line of the block comes first
+            head_lines = block.splitlines(True)[:exc.line_no - first_line]
+            replay(parse_trace("".join(head_lines), first_line), pool, live)
+            raise
+        yield replay(events, pool, live)

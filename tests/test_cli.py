@@ -150,7 +150,7 @@ class TestReplay:
         def parse_trace(text, first_line=1):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "parse_trace", parse_trace)
+        monkeypatch.setattr(trace, "parse_trace", parse_trace)
         path = self.write_trace(tmp_path, "alloc a\n")
         code, out, err = run_cli(capsys, "replay", "--trace", path)
         assert code == 1
@@ -161,11 +161,13 @@ class TestReplay:
     def test_memory_error_while_output_is_built_exits_one(
             self, capsys, monkeypatch, tmp_path, fmt):
         # the records reach the output one by one, then memory runs out
+        real_replay = trace.replay
+
         def replay(*args):
-            yield from trace.replay(*args)
+            yield from real_replay(*args)
             raise MemoryError
 
-        monkeypatch.setattr(cli, "replay", replay)
+        monkeypatch.setattr(trace, "replay", replay)
         path = self.write_trace(tmp_path, "alloc a\nalloc b\n")
         code, out, err = run_cli(capsys, "replay", "--trace", path,
                                  "--format", fmt)
@@ -225,7 +227,7 @@ class TestReplay:
         # ids the trace grammar rejects, so that the JSON writer does not
         # rely on that grammar to leave them unescaped
         ids = ['q"uote', "back\\slash", "café", "tab\there", " "]
-        monkeypatch.setattr(cli, "parse_trace", lambda text, first_line=1: [
+        monkeypatch.setattr(trace, "parse_trace", lambda text, first_line=1: [
             trace.TraceEvent(trace.ALLOC, id_, None, n)
             for n, id_ in enumerate(ids, first_line)])
         path = self.write_trace(tmp_path, "alloc a\n")
@@ -300,16 +302,14 @@ class TestReplay:
     def test_trace_layer_is_called_through_module_globals(
             self, capsys, monkeypatch, tmp_path):
         # bench/tracing.py times the parse and replay layers by replacing
-        # these names in bitfit.cli; a call that bypassed them would leave
+        # these names in bitfit.trace; a call that bypassed them would leave
         # those per-layer metrics at zero
-        assert cli.parse_trace is trace.parse_trace
-        assert cli.replay is trace.replay
         calls = []
         for name in ("parse_trace", "replay"):
             def spy(*args, _name=name, _fn=getattr(trace, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(trace, name, spy)
         path = self.write_trace(tmp_path, "alloc a\n")
         code, out, _ = run_cli(capsys, "replay", "--trace", path)
         assert code == 0 and out.endswith("1,alloc,a,0,0\n")
@@ -753,6 +753,8 @@ class TestBlocks:
     @example(data=b"", block=1)
     @example(data=b"alloc a\r\nfree a\r\nfree a\r\n", block=2)
     @example(data="# é\nalloc a\nfree b\n\xff".encode("latin-1"), block=3)
+    @example(data=b"alloc a\n# caf\xe9\nalloc b\n", block=2)
+    @example(data=b"alloc a\nfree b\n# \xff\n", block=1)
     @settings(max_examples=400, deadline=None)
     def test_output_matches_whole_file_reference(self, tmp_path_factory,
                                                  data, block):

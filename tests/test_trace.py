@@ -93,6 +93,18 @@ class TestParse:
         else:
             assert parse_trace(text, first_line) == expected
 
+    @pytest.mark.parametrize("text, error", [
+        ("alloc a\n# \udcff\n", "line 2: invalid UTF-8 byte 0xff"),
+        ("al\udcc3loc a\n", "line 1: invalid UTF-8 byte 0xc3"),
+        ("alloc\nfree a! \udc80\n", "line 1: cannot parse 'alloc'"),
+        ("alloc a\nfree a! b \udc80\udcff\n",
+         "line 2: invalid UTF-8 byte 0x80"),
+    ], ids=["comment", "op", "after-syntax-error", "on-syntax-error"])
+    def test_lone_surrogate_is_the_bad_byte_it_stands_for(self, text, error):
+        with pytest.raises(TraceSyntaxError) as err:
+            parse_trace(text)
+        assert str(err.value) == error
+
     def test_comment_line_leaves_the_events_of_a_plain_block(self):
         events = parse_trace(self.PLAIN)
         assert parse_trace(self.PLAIN + "# é\n") == events
@@ -157,16 +169,17 @@ class TestReadBlocks:
         assert [ev.line_no for ev in events] == [1, 3, 4, 7]
 
     @pytest.mark.parametrize("block", [1, 2, 8192])
-    def test_bad_byte_ends_the_blocks_after_the_lines_before_it(
+    def test_bad_byte_reaches_its_line_for_the_parser_to_report(
             self, monkeypatch, block):
         monkeypatch.setattr(trace, "BLOCK_BYTES", block)
-        blocks = read_blocks(io.BytesIO(b"alloc a\r\nfree a\rx\xe2\x82\n"))
-        texts = []
+        data = b"alloc a\r\nfree a\rx\xe2\x82\n"
+        blocks = list(read_blocks(io.BytesIO(data)))
+        assert "".join(text for _, text in blocks).splitlines() == \
+            ["alloc a", "free a", "x\udce2\udc82"]
         with pytest.raises(TraceSyntaxError) as err:
             for first_line, text in blocks:
-                texts.append(text)
+                parse_trace(text, first_line)
         assert str(err.value) == "line 3: invalid UTF-8 byte 0xe2"
-        assert "".join(texts).splitlines() == ["alloc a", "free a"]
 
 
 class TestRoundTrip:
