@@ -136,16 +136,21 @@ def cmd_bench(args) -> int:
     policy = _policy_kind(args.allocator)
     config = _config_dict(
         args, ("allocator", "slots", "slot_size", "seed", "line_size", "workload"))
-    if args.workload == "lifecycle":
-        report = run_list_lifecycle(policy, args.slots, args.slot_size,
-                                    args.seed, args.line_size)
-        body = {"kind": "lifecycle", **report._asdict()}
-    else:
-        config["fill"] = args.fill
-        config["ops"] = args.ops
-        batch = run_random_churn(policy, args.slots, args.fill, args.ops,
-                                 args.seed, args.slot_size, args.line_size)
-        body = {"kind": "churn", "batch": batch}
+    try:
+        if args.workload == "lifecycle":
+            report = run_list_lifecycle(policy, args.slots, args.slot_size,
+                                        args.seed, args.line_size)
+            body = {"kind": "lifecycle", **report._asdict()}
+        else:
+            config["fill"] = args.fill
+            config["ops"] = args.ops
+            batch = run_random_churn(policy, args.slots, args.fill, args.ops,
+                                     args.seed, args.slot_size, args.line_size)
+            body = {"kind": "churn", "batch": batch}
+    except MemoryError:
+        print(f"error: the {args.workload} workload at {args.slots} slots "
+              "does not fit in memory", file=sys.stderr)
+        return 1
     # the locality reports, in the order their record declares them, as
     # dicts: _asdict is shallow, and json would write a tuple as a list
     traversals = {name: item._asdict() for name, item in body.items()

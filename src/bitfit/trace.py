@@ -1,4 +1,4 @@
-"""Text allocation traces: read, parse, format, and replay.
+r"""Text allocation traces: read, parse, format, and replay.
 
 Grammar, one event per line:
 
@@ -16,8 +16,10 @@ A trace file is read in blocks of ``BLOCK_BYTES`` bytes: ``read_blocks``
 yields whole lines with the number of the first, ``parse_trace`` parses
 one block and ``replay`` runs its events through a pool and a live-id map.
 ``replay_file`` runs the whole file so, keeping the map from block to
-block.  Memory is bounded by the live ids and one block (or one line, if a
-line is longer), not by the length of the trace.
+block.  Memory is bounded by the live ids, one block and the bytes since
+the last ``"\n"`` or ``"\r"``, not by the length of the trace; a line
+ended by a rarer break (``"\v"``, ``"\f"``, ``"\x1c"`` to ``"\x1e"``,
+U+0085, U+2028, U+2029) is held until the next one of those two.
 
 A byte that is not UTF-8 is decoded as the lone surrogate U+DC80 to U+DCFF
 that stands for it (PEP 383's ``surrogateescape``), and ``parse_trace``
@@ -28,7 +30,6 @@ Events and replay records are named tuples, so they compare equal to
 plain tuples of their fields.
 """
 
-import codecs
 import re
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, \
     Sequence, Tuple
@@ -80,45 +81,33 @@ _make = tuple.__new__
 
 
 def read_blocks(fh: BinaryIO) -> Iterator[Tuple[int, str]]:
-    """Read a binary trace file ``BLOCK_BYTES`` at a time and yield
+    r"""Read a binary trace file ``BLOCK_BYTES`` at a time and yield
     ``(first_line, text)``: ``text`` is one or more whole lines, and
     ``first_line`` numbers the first of them as ``str.splitlines`` would
     number the lines of the whole file.  The last line need not end in a
     line break.  Never raises on the content: a byte that is not UTF-8
     reaches ``text`` as its lone surrogate, for ``parse_trace`` to report.
+
+    A read is cut after its last ``"\n"`` or ``"\r"``, but not between
+    the two of a ``"\r\n"``.  Neither byte can sit inside a UTF-8
+    sequence, so each cut decodes as it would inside the whole file.
     """
-    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
     first_line = 1
-    partial = []      # pieces of the line that no block has ended yet
-    after_cr = False  # the text so far ends in "\r", which a "\n" would join
-    while True:
-        data = fh.read(BLOCK_BYTES)
-        piece = decode(data, not data)
-        if piece:
-            if after_cr and piece[0] == "\n":  # the rest of a "\r\n" break
-                piece = piece[1:]
-            after_cr = piece[-1:] == "\r"
-        cut, count = _whole_lines(piece)
+    held = []  # the bytes read since the last cut, a piece per read
+    for data in iter(lambda: fh.read(BLOCK_BYTES), b""):
+        if data.endswith(b"\r"):  # a "\n" next would end the same line
+            data += fh.read(1)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if cut:
-            partial.append(piece[:cut])
-            yield first_line, "".join(partial)
-            first_line += count
-            partial.clear()
-        if cut < len(piece):
-            partial.append(piece[cut:])
-        if not data:
-            if partial:
-                yield first_line, "".join(partial)
-            return
-
-
-def _whole_lines(text: str) -> Tuple[int, int]:
-    """The length of the whole lines that ``text`` starts with, and their
-    count; a ``"\r"`` at the end counts as the end of a line."""
-    lines = text.splitlines(True)
-    if lines and lines[-1].splitlines() == [lines[-1]]:  # the last is partial
-        return len(text) - len(lines[-1]), len(lines) - 1
-    return len(text), len(lines)
+            held.append(data[:cut])
+            text = b"".join(held).decode("utf-8", "surrogateescape")
+            yield first_line, text
+            first_line += len(text.splitlines())
+            held.clear()
+        held.append(data[cut:])
+    text = b"".join(held).decode("utf-8", "surrogateescape")
+    if text:  # the last line, which need not end in a line break
+        yield first_line, text
 
 
 def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:

@@ -192,24 +192,28 @@ def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
     covers the initial fill instead.
 
     The fill's offsets are listed before the first acquire, so a pool too
-    large for memory fails at once, also under a free-list policy.
+    large for memory fails at once, also under a free-list policy.  Only
+    live ids keep their offsets, so memory grows with the fill, not ``ops``.
     """
     steps = churn_steps(capacity, target_fill, ops, seed)
     pool = Pool(slot_size, capacity, policy_kind)
     try:
-        offsets = [0] * _churn_fill(capacity, target_fill)  # by id
+        fill = [0] * _churn_fill(capacity, target_fill)  # by id
     except (MemoryError, OverflowError) as exc:
         raise too_large(capacity) from exc
     # the schedule starts with one allocate step per fill id; zip takes
     # them and leaves the rest of the steps in the iterator
-    for i, _ in zip(range(len(offsets)), steps):
-        offsets[i] = pool.acquire()
+    for i, _ in zip(range(len(fill)), steps):
+        fill[i] = pool.acquire()
+    if ops == 0:
+        return measure(fill, slot_size, line_size)
+    live = dict(enumerate(fill))  # the offset of each live id
+    fresh = len(fill)
     for k in steps:
         if k is None:
-            offsets.append(pool.acquire())
+            live[fresh] = pool.acquire()
+            fresh += 1
         else:
-            pool.release(offsets[k])
-    if ops == 0:
-        return measure(offsets, slot_size, line_size)
+            pool.release(live.pop(k))
     batch = [pool.acquire() for _ in range(pool.free_count)]
     return measure(batch, slot_size, line_size)

@@ -110,6 +110,22 @@ class TestBench:
         assert calls == ["run_list_lifecycle", "lifecycle_free_order",
                          "measure", "measure"]
 
+    @pytest.mark.parametrize("workload_name, runner",
+                             [("lifecycle", "run_list_lifecycle"),
+                              ("churn", "run_random_churn")])
+    def test_workload_too_large_for_memory_exits_one(
+            self, capsys, monkeypatch, workload_name, runner):
+        def run(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, runner, run)
+        code, out, err = run_cli(capsys, "bench", "--workload", workload_name,
+                                 "--slots", "4000000", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: the {workload_name} workload at 4000000 "
+                       "slots does not fit in memory\n")
+
 
 class TestReplay:
     def write_trace(self, tmp_path, text):

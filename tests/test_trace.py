@@ -181,6 +181,22 @@ class TestReadBlocks:
                 parse_trace(text, first_line)
         assert str(err.value) == "line 3: invalid UTF-8 byte 0xe2"
 
+    @pytest.mark.parametrize("block", [1, 2, 4, 5, 64])
+    @pytest.mark.parametrize("text", [
+        churn_trace(64, 0.7, 200, 1).replace("\n", "\r"),
+        "# x\r" * 40,  # every read of 4 bytes ends in its only "\r"
+    ], ids=["churn", "aligned"])
+    def test_cr_only_trace_is_cut_at_its_breaks(self, monkeypatch, block,
+                                                text):
+        monkeypatch.setattr(trace, "BLOCK_BYTES", block)
+        blocks = list(read_blocks(io.BytesIO(text.encode())))
+        longest = max(map(len, text.splitlines(True)))
+        assert max(len(block_text) for _, block_text in blocks) <= \
+            block + longest
+        events = [ev for first_line, block_text in blocks
+                  for ev in parse_trace(block_text, first_line)]
+        assert events == parse_trace(text)
+
 
 class TestRoundTrip:
     def test_explicit(self):
