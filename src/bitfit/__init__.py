@@ -32,11 +32,8 @@ from .trace import (
 from .workload import (
     LifecycleReport,
     LocalityReport,
-    distinct_lines,
-    mean_abs_gap,
     run_list_lifecycle,
     run_random_churn,
-    sequential_fraction,
 )
 
 __all__ = [
@@ -59,15 +56,12 @@ __all__ = [
     "TraceEvent",
     "TraceSyntaxError",
     "UnknownId",
-    "distinct_lines",
     "format_trace",
     "make_policy",
-    "mean_abs_gap",
     "parse_trace",
     "replay",
     "run_list_lifecycle",
     "run_random_churn",
-    "sequential_fraction",
 ]
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ plain tuples of their fields.
 
 import random
 from itertools import chain
+from operator import sub
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .pool import Pool, too_large
@@ -46,37 +47,31 @@ class LifecycleReport(NamedTuple):
     second_traversal: LocalityReport
 
 
-def sequential_fraction(offsets: Sequence[int], slot_size: int) -> float:
-    """Fraction of consecutive pairs that advance by exactly one slot."""
-    if len(offsets) < 2:
-        return 1.0
-    hits = sum(
-        1 for a, b in zip(offsets, offsets[1:]) if b - a == slot_size
-    )
-    return hits / (len(offsets) - 1)
-
-
-def distinct_lines(offsets: Sequence[int], line_size: int = DEFAULT_LINE_SIZE) -> int:
-    """Number of distinct cache lines the offsets fall into."""
-    if line_size < 1:
-        raise ValueError("line_size must be >= 1")
-    return len({off // line_size for off in offsets})
-
-
-def mean_abs_gap(offsets: Sequence[int]) -> float:
-    """Mean absolute byte distance between consecutive offsets."""
-    if len(offsets) < 2:
-        return 0.0
-    total = sum(abs(b - a) for a, b in zip(offsets, offsets[1:]))
-    return total / (len(offsets) - 1)
-
-
 def measure(offsets: Sequence[int], slot_size: int,
             line_size: int = DEFAULT_LINE_SIZE) -> LocalityReport:
+    """The locality of one traversal, the offsets in the order visited.
+
+    - ``sequential_fraction``: the share of consecutive pairs whose gap
+      (next minus previous offset) is exactly ``slot_size``;
+    - ``distinct_lines``: the number of ``line_size``-byte cache lines
+      that the offsets fall into;
+    - ``mean_abs_gap``: the mean absolute byte gap between consecutive
+      offsets;
+    - ``traversal_len``: the number of offsets.
+
+    With fewer than two offsets there is no pair: the sequential fraction
+    is 1.0 and the mean gap 0.0.
+    """
+    if line_size < 1:
+        raise ValueError("line_size must be >= 1")
+    lines = len({off // line_size for off in offsets})
+    gaps = list(map(sub, offsets[1:], offsets))
+    if not gaps:
+        return LocalityReport(1.0, lines, 0.0, len(offsets))
     return LocalityReport(
-        sequential_fraction=sequential_fraction(offsets, slot_size),
-        distinct_lines=distinct_lines(offsets, line_size),
-        mean_abs_gap=mean_abs_gap(offsets),
+        sequential_fraction=gaps.count(slot_size) / len(gaps),
+        distinct_lines=lines,
+        mean_abs_gap=sum(map(abs, gaps)) / len(gaps),
         traversal_len=len(offsets),
     )
 

@@ -442,8 +442,8 @@ def test_import_adds_only_bitfit_to_its_stdlib_imports():
     # bitfit's own
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import argparse, codecs, collections, functools, itertools, "
-            "json, json.encoder, random, re, time, typing; "
+            "import argparse, collections, functools, itertools, json, "
+            "json.encoder, operator, random, re, time, typing; "
             "before = set(sys.modules); import bitfit.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],

@@ -6,64 +6,58 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitfit import (
-    POLICY_KINDS,
-    distinct_lines,
-    mean_abs_gap,
-    run_list_lifecycle,
-    run_random_churn,
-    sequential_fraction,
-)
-from bitfit.workload import lifecycle_free_order
+from bitfit import POLICY_KINDS, run_list_lifecycle, run_random_churn
+from bitfit.workload import lifecycle_free_order, measure
 from oracles import lifecycle_free_order_reference
 
 
 class TestSequentialFraction:
     def test_perfectly_packed(self):
-        assert sequential_fraction([0, 32, 64], 32) == 1.0
+        assert measure([0, 32, 64], 32).sequential_fraction == 1.0
 
     def test_out_of_order(self):
-        assert sequential_fraction([0, 64, 32], 32) == 0.0
+        assert measure([0, 64, 32], 32).sequential_fraction == 0.0
 
     def test_partial(self):
-        assert sequential_fraction([0, 32, 96, 128], 32) == pytest.approx(2 / 3)
+        assert measure([0, 32, 96, 128], 32).sequential_fraction == \
+            pytest.approx(2 / 3)
 
     def test_short_lists_default_to_one(self):
-        assert sequential_fraction([], 32) == 1.0
-        assert sequential_fraction([128], 32) == 1.0
+        assert measure([], 32).sequential_fraction == 1.0
+        assert measure([128], 32).sequential_fraction == 1.0
 
 
 class TestDistinctLines:
     def test_all_in_one_line(self):
-        assert distinct_lines([0, 8, 16, 56], 64) == 1
+        assert measure([0, 8, 16, 56], 32, 64).distinct_lines == 1
 
     def test_one_line_each(self):
-        assert distinct_lines([0, 64, 128], 64) == 3
+        assert measure([0, 64, 128], 32, 64).distinct_lines == 3
 
     def test_packed_vs_spread(self):
         packed = [s * 32 for s in range(8)]
-        assert distinct_lines(packed, 64) == 4
+        assert measure(packed, 32, 64).distinct_lines == 4
         spread = [s * 128 for s in range(8)]  # same 8 nodes over a 1024-byte pool
-        assert distinct_lines(spread, 64) == 8
+        assert measure(spread, 32, 64).distinct_lines == 8
 
     def test_line_size_validated(self):
         with pytest.raises(ValueError):
-            distinct_lines([0], 0)
+            measure([0], 32, 0)
 
 
 class TestMeanAbsGap:
     def test_uniform_stride(self):
-        assert mean_abs_gap([0, 32, 64]) == 32
+        assert measure([0, 32, 64], 32).mean_abs_gap == 32
 
     def test_backward_jump(self):
-        assert mean_abs_gap([64, 0]) == 64
+        assert measure([64, 0], 32).mean_abs_gap == 64
 
     def test_mixed(self):
-        assert mean_abs_gap([0, 96, 32]) == 80
+        assert measure([0, 96, 32], 32).mean_abs_gap == 80
 
     def test_short_lists(self):
-        assert mean_abs_gap([]) == 0
-        assert mean_abs_gap([7]) == 0
+        assert measure([], 32).mean_abs_gap == 0
+        assert measure([7], 32).mean_abs_gap == 0
 
 
 class TestLifecycle:
