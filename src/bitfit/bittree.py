@@ -163,12 +163,11 @@ class BitTree:
 
     def check_integrity(self) -> bool:
         """Verify the AND invariant, phantom padding, and the free count."""
+        bits, capacity = self.bits, self.capacity
         base = self.n_leaves - 1
-        for i in range(base):
-            if self.bits[i] != (self.bits[2 * i + 1] & self.bits[2 * i + 2]):
-                return False
-        for s in range(self.capacity, self.n_leaves):
-            if self.bits[base + s] != 1:
-                return False
-        zeros = sum(1 for s in range(self.capacity) if self.bits[base + s] == 0)
-        return zeros == self.free_count
+        # whole rows, compared in C: the internal row ``bits[:base]`` against
+        # the AND of its child rows, read as big-endian integers
+        children = int.from_bytes(bits[1::2], "big") & int.from_bytes(bits[2::2], "big")
+        return (int.from_bytes(bits[:base], "big") == children
+                and bits.count(1, base + capacity) == self.n_leaves - capacity
+                and bits.count(0, base, base + capacity) == self.free_count)

@@ -118,6 +118,8 @@ def churn_steps(capacity: int, target_fill: float, ops: int,
         raise ValueError("target_fill must be in [0, 1)")
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
+    if ops < 0:
+        raise ValueError("ops must be >= 0")
     return _churn_schedule(_churn_fill(capacity, target_fill), ops,
                            random.Random(seed))
 

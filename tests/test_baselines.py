@@ -22,6 +22,10 @@ class TestFreeList:
             p = FreeListPolicy(8, order)
             assert [p.allocate() for _ in range(3)] == [0, 1, 2]
 
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="unknown order 'lilo'"):
+            FreeListPolicy(8, "lilo")
+
     def test_lifo_returns_last_freed_first(self):
         p = FreeListPolicy(8, "lifo")
         for _ in range(3):

@@ -190,6 +190,30 @@ class TestObservers:
         tree.free_count = 7
         assert not tree.check_integrity()
 
+    @given(capacity=st.integers(1, 70), seed=st.integers(0, 2 ** 32),
+           n_ops=st.integers(0, 150), pick=st.integers(0, 2 ** 30),
+           row=st.sampled_from(["internal", "real", "phantom", None]),
+           value=st.sampled_from([0, 1, 2, 255]))
+    @settings(max_examples=300, deadline=None)
+    def test_integrity_is_the_invariant(self, capacity, seed, n_ops, pick, row, value):
+        tree = BitTree(capacity)
+        for _ in run_ops(tree, random.Random(seed), n_ops, use_hints=True):
+            pass
+        # set one byte of a row to ``value`` (a row the tree lacks stays
+        # intact), or with no row shift the free count by one
+        base = tree.n_leaves - 1
+        rows = {"internal": range(base), "real": range(base, base + capacity),
+                "phantom": range(base + capacity, len(tree.bits)), None: ()}
+        if rows[row]:
+            tree.bits[rows[row][pick % len(rows[row])]] = value
+        elif row is None:
+            tree.free_count += 1 if pick % 2 else -1
+        leaves = leaves_of(tree)
+        assert tree.check_integrity() == (
+            list(tree.bits) == rebuild_internal(leaves)
+            and leaves[capacity:] == [1] * (tree.n_leaves - capacity)
+            and leaves[:capacity].count(0) == tree.free_count)
+
 
 def run_ops(tree, rng, n_ops, use_hints=False):
     """Random alloc/free mix; yields after every operation."""
@@ -211,10 +235,8 @@ def run_ops(tree, rng, n_ops, use_hints=False):
 def test_integrity_preserved_over_random_ops():
     tree = BitTree(1024)
     rng = random.Random(7)
-    for i, _ in enumerate(run_ops(tree, rng, 10_000, use_hints=True)):
-        if i % 199 == 0:
-            assert tree.check_integrity()
-    assert tree.check_integrity()
+    for _ in run_ops(tree, rng, 10_000, use_hints=True):
+        assert tree.check_integrity()
 
 
 ops_strategy = st.lists(st.integers(0, 2 ** 30), min_size=0, max_size=120)

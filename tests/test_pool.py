@@ -25,9 +25,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Pool(0, 8, "bitmap")
 
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Pool(32, 0, "bitmap")
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_zero_capacity_rejected(self, kind):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            Pool(32, 0, kind)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

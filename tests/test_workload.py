@@ -133,6 +133,10 @@ class TestChurn:
     def test_fill_validated(self):
         with pytest.raises(ValueError):
             run_random_churn("bitmap", 64, 1.0, 10, 0)
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            run_random_churn("bitmap", 0, 0.5, 10, 0)
+        with pytest.raises(ValueError, match="ops must be >= 0"):
+            run_random_churn("bitmap", 16, 0.5, -1, 1)
 
     def test_memory_does_not_grow_with_ops(self):
         # only the live ids keep their offsets; a list of every id ever
