@@ -12,14 +12,16 @@ whose first token starts with ``#`` is a comment; blank lines are
 skipped.  Hints name live ids rather than raw slots, so the same trace
 replays through any policy.
 
-A trace file is read in blocks of ``BLOCK_BYTES`` bytes: ``read_blocks``
-yields whole lines with the number of the first, ``parse_trace`` parses
-one block and ``replay`` runs its events through a pool and a live-id map.
-``replay_file`` runs the whole file so, keeping the map from block to
-block.  Memory is bounded by the live ids, one block and the bytes since
-the last ``"\n"`` or ``"\r"``, not by the length of the trace; a line
-ended by a rarer break (``"\v"``, ``"\f"``, ``"\x1c"`` to ``"\x1e"``,
-U+0085, U+2028, U+2029) is held until the next one of those two.
+A trace file is read through ``io.TextIOWrapper`` in blocks of
+``BLOCK_BYTES`` characters and the rest of their last line:
+``read_blocks`` yields these whole lines with the number of the first,
+``parse_trace`` parses one block and ``replay`` runs its events through a
+pool and a live-id map.  ``replay_file`` runs the whole file so, keeping
+the map from block to block.  Memory is bounded by the live ids, one
+block and the text since the last ``"\n"`` or ``"\r"``, not by the
+length of the trace; a line ended by a rarer break (``"\v"``, ``"\f"``,
+``"\x1c"`` to ``"\x1e"``, U+0085, U+2028, U+2029) is held until the next
+one of those two.
 
 A byte that is not UTF-8 is decoded as the lone surrogate U+DC80 to U+DCFF
 that stands for it (PEP 383's ``surrogateescape``), and ``parse_trace``
@@ -30,6 +32,7 @@ Events and replay records are named tuples, so they compare equal to
 plain tuples of their fields.
 """
 
+import io
 import re
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, \
     Sequence, Tuple
@@ -58,7 +61,8 @@ _PLAIN_RE = re.compile(r"[A-Za-z0-9_\s]*", re.ASCII)
 # the characters that stand for the bytes 0x80 to 0xff that are not UTF-8
 _BAD_BYTE_RE = re.compile("[\udc80-\udcff]")
 
-# bytes read from a trace file at a time
+# characters read from a trace file at a time; read_blocks adds the rest
+# of the last line
 BLOCK_BYTES = 8192
 
 
@@ -81,33 +85,24 @@ _make = tuple.__new__
 
 
 def read_blocks(fh: BinaryIO) -> Iterator[Tuple[int, str]]:
-    r"""Read a binary trace file ``BLOCK_BYTES`` at a time and yield
-    ``(first_line, text)``: ``text`` is one or more whole lines, and
-    ``first_line`` numbers the first of them as ``str.splitlines`` would
-    number the lines of the whole file.  The last line need not end in a
-    line break.  Never raises on the content: a byte that is not UTF-8
-    reaches ``text`` as its lone surrogate, for ``parse_trace`` to report.
-
-    A read is cut after its last ``"\n"`` or ``"\r"``, but not between
-    the two of a ``"\r\n"``.  Neither byte can sit inside a UTF-8
-    sequence, so each cut decodes as it would inside the whole file.
+    r"""Read the binary trace file ``fh`` and yield ``(first_line, text)``:
+    ``text`` is ``BLOCK_BYTES`` characters and the rest of their last line,
+    which ends at a ``"\n"``, ``"\r"`` or ``"\r\n"`` or at the end of the
+    file, and ``first_line`` numbers its first line as ``str.splitlines``
+    would number the lines of the whole file.  Never raises on the content:
+    a byte that is not UTF-8 reaches ``text`` as its lone surrogate, for
+    ``parse_trace`` to report.  ``fh`` is left open.
     """
+    text_io = io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")
     first_line = 1
-    held = []  # the bytes read since the last cut, a piece per read
-    for data in iter(lambda: fh.read(BLOCK_BYTES), b""):
-        if data.endswith(b"\r"):  # a "\n" next would end the same line
-            data += fh.read(1)
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
-        if cut:
-            held.append(data[:cut])
-            text = b"".join(held).decode("utf-8", "surrogateescape")
+    try:
+        while text := text_io.read(BLOCK_BYTES):
+            text += text_io.readline()
             yield first_line, text
             first_line += len(text.splitlines())
-            held.clear()
-        held.append(data[cut:])
-    text = b"".join(held).decode("utf-8", "surrogateescape")
-    if text:  # the last line, which need not end in a line break
-        yield first_line, text
+    finally:
+        if not fh.closed:  # the caller may have closed it first
+            text_io.detach()
 
 
 def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
@@ -121,8 +116,8 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
     one_id_ops = _ONE_ID_OPS
     is_id = _ID_CHARS.issuperset
     plain = _PLAIN_RE.fullmatch(text) is not None
-    for line_no, tokens in enumerate(map(str.split, text.splitlines()),
-                                     first_line):
+    for line_no, raw in enumerate(text.splitlines(), first_line):
+        tokens = raw.split()
         n = len(tokens)
         if n == 2:
             op = one_id_ops.get(tokens[0])
@@ -138,17 +133,15 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
         elif not n:
             continue
         # a line that no branch took is a comment or an error
-        if tokens[0][0] != "#" or _BAD_BYTE_RE.search(" ".join(tokens)):
-            raise _syntax_error(text, first_line, line_no)
+        if tokens[0][0] != "#" or _BAD_BYTE_RE.search(raw):
+            raise _syntax_error(raw, line_no)
     return events
 
 
-def _syntax_error(text: str, first_line: int,
-                  line_no: int) -> TraceSyntaxError:
-    """The error for line ``line_no`` of ``text``, which ``parse_trace``
+def _syntax_error(raw: str, line_no: int) -> TraceSyntaxError:
+    """The error for ``raw``, line ``line_no``, which ``parse_trace``
     rejects: a byte that is not UTF-8 is reported first, then a wrong op
     or token count, then a bad id."""
-    raw = text.splitlines()[line_no - first_line]
     bad_byte = _BAD_BYTE_RE.search(raw)
     if bad_byte:
         return TraceSyntaxError(

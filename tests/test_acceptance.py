@@ -7,8 +7,6 @@ import random
 import statistics
 import time
 
-import pytest
-
 from bitfit import BitTree, LinearBitmapPolicy, PoolExhausted, run_list_lifecycle
 from bitfit.cli import main as cli_main
 from bitfit.trace import format_trace, parse_trace

@@ -442,7 +442,7 @@ def test_import_adds_only_bitfit_to_its_stdlib_imports():
     # bitfit's own
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import argparse, collections, functools, itertools, json, "
+            "import argparse, collections, functools, io, itertools, json, "
             "json.encoder, operator, random, re, time, typing; "
             "before = set(sys.modules); import bitfit.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")

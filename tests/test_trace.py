@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -181,10 +182,44 @@ class TestReadBlocks:
                 parse_trace(text, first_line)
         assert str(err.value) == "line 3: invalid UTF-8 byte 0xe2"
 
+    @pytest.mark.parametrize("piece", ["é", "€", "\r\n", "\udce2\udc82"],
+                             ids=["e-acute", "euro", "crlf", "bad-byte"])
+    def test_piece_across_the_wrappers_read_boundary(self, piece):
+        # the piece's bytes start at byte 8191 of the file and so straddle
+        # byte 8192, where the text wrapper's first read ends
+        text = "#" * 8188 + "\n# " + piece + "\nalloc a\n"
+        data = text.encode("utf-8", "surrogateescape")
+        assert data.index(piece.encode("utf-8", "surrogateescape")) == 8191
+        blocks = list(read_blocks(io.BytesIO(data)))
+        lines = [(first_line + i, raw) for first_line, block_text in blocks
+                 for i, raw in enumerate(block_text.splitlines())]
+        assert lines == list(enumerate(text.splitlines(), 1))
+
+    def test_caller_owns_the_file(self):
+        # a text wrapper closes its buffer when it is collected, unless it
+        # was detached first, so an abandoned reader must detach it too
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fh = io.BytesIO(b"alloc a\n" * 4000)
+            assert len(list(read_blocks(fh))) > 1
+            assert not fh.closed
+            fh = io.BytesIO(b"alloc a\n" * 4000)
+            blocks = read_blocks(fh)
+            next(blocks)
+            blocks.close()
+            assert not fh.closed
+            # and a caller may close its file before the reader
+            blocks = read_blocks(fh)
+            next(blocks)
+            fh.close()
+            blocks.close()
+        assert [w for w in caught if issubclass(w.category,
+                                               ResourceWarning)] == []
+
     @pytest.mark.parametrize("block", [1, 2, 4, 5, 64])
     @pytest.mark.parametrize("text", [
         churn_trace(64, 0.7, 200, 1).replace("\n", "\r"),
-        "# x\r" * 40,  # every read of 4 bytes ends in its only "\r"
+        "# x\r" * 40,  # every block of 4 characters ends in its only "\r"
     ], ids=["churn", "aligned"])
     def test_cr_only_trace_is_cut_at_its_breaks(self, monkeypatch, block,
                                                 text):
