@@ -25,7 +25,9 @@ class FreeListPolicy(_HintIgnoringPolicy):
 
     Fresh pools allocate by bumping ``next_fresh`` so first use hands out
     slots in address order; once slots have been returned, the free list
-    takes priority and reuse order depends only on free order.
+    takes priority and reuse order depends only on free order.  One
+    occupancy byte per slot, made up front, tells a live slot from a free
+    or never-used one.
     """
 
     def __init__(self, capacity: int, order: str = "lifo"):
@@ -38,7 +40,7 @@ class FreeListPolicy(_HintIgnoringPolicy):
         # the end of the free list that reuse takes from
         self._take = (self.free_sequence.pop if order == "lifo"
                       else self.free_sequence.popleft)
-        self._free_set = set()
+        self._used = bytearray(capacity)
         self.next_fresh = 0
 
     @property
@@ -48,21 +50,21 @@ class FreeListPolicy(_HintIgnoringPolicy):
     def allocate(self) -> int:
         if self.free_sequence:
             slot = self._take()
-            self._free_set.discard(slot)
-            return slot
-        if self.next_fresh < self.capacity:
+        elif self.next_fresh < self.capacity:
             slot = self.next_fresh
             self.next_fresh += 1
-            return slot
-        raise PoolExhausted("all slots are in use")
+        else:
+            raise PoolExhausted("all slots are in use")
+        self._used[slot] = 1
+        return slot
 
     def release(self, slot: int) -> None:
         if not 0 <= slot < self.capacity:
             raise out_of_range("slot", slot, self.capacity)
-        if slot >= self.next_fresh or slot in self._free_set:
+        if not self._used[slot]:
             raise DoubleFree(f"slot {slot} is not currently allocated")
+        self._used[slot] = 0
         self.free_sequence.append(slot)
-        self._free_set.add(slot)
 
 
 class LinearBitmapPolicy(_HintIgnoringPolicy):

@@ -23,22 +23,18 @@ POLICIES = {
 POLICY_KINDS = tuple(POLICIES)
 
 
-def too_large(capacity: int) -> ValueError:
-    """The error for a pool whose O(capacity) storage cannot be made: a
-    ``MemoryError``, or an ``OverflowError`` for a size past the index
-    range."""
-    return ValueError(f"a pool of {capacity} slots does not fit in memory")
-
-
 def make_policy(kind: str, capacity: int):
     constructor = POLICIES.get(kind)
     if constructor is None:
         raise ValueError(f"unknown policy kind {kind!r}")
     try:
-        # the bitmap policies allocate their bit array up front
+        # every policy makes its O(capacity) storage here, so this is the
+        # one place a pool too large for memory, or past the index range,
+        # is refused
         return constructor(capacity)
     except (MemoryError, OverflowError) as exc:
-        raise too_large(capacity) from exc
+        raise ValueError(
+            f"a pool of {capacity} slots does not fit in memory") from exc
 
 
 class Pool:

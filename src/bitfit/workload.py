@@ -24,7 +24,7 @@ from itertools import chain
 from operator import sub
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
-from .pool import Pool, too_large
+from .pool import Pool
 
 GENERATOR_NAME = "mt19937"  # random.Random; identity recorded in reports
 
@@ -152,15 +152,12 @@ def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
     """Fill / free in value order / refill, measuring both fills.
 
     The pool and both lists of offsets are made before the first draw and
-    the first acquire, so a pool too large for memory fails at once, also
-    under a free-list policy, which allocates nothing up front.
+    the first acquire, so a run too large for memory fails before any
+    work, whether the pool or the lists do not fit.
     """
     pool = Pool(slot_size, node_count, policy_kind)
-    try:
-        first = [0] * node_count
-        second = [0] * node_count
-    except (MemoryError, OverflowError) as exc:
-        raise too_large(node_count) from exc
+    first = [0] * node_count
+    second = [0] * node_count
     free_order = lifecycle_free_order(node_count, seed)
     acquire, release = pool.acquire, pool.release
     for i in range(node_count):
@@ -188,16 +185,13 @@ def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
     slots; the report covers the batch's offsets.  With ops == 0 it
     covers the initial fill instead.
 
-    The fill's offsets are listed before the first acquire, so a pool too
-    large for memory fails at once, also under a free-list policy.  Only
+    The pool and the fill's list of offsets are made before the first
+    acquire, so a run too large for memory fails before any work.  Only
     live ids keep their offsets, so memory grows with the fill, not ``ops``.
     """
     steps = churn_steps(capacity, target_fill, ops, seed)
     pool = Pool(slot_size, capacity, policy_kind)
-    try:
-        fill = [0] * _churn_fill(capacity, target_fill)  # by id
-    except (MemoryError, OverflowError) as exc:
-        raise too_large(capacity) from exc
+    fill = [0] * _churn_fill(capacity, target_fill)  # by id
     # the schedule starts with one allocate step per fill id; zip takes
     # them and leaves the rest of the steps in the iterator
     for i, _ in zip(range(len(fill)), steps):

@@ -334,26 +334,20 @@ class TestReplay:
 
 class TestPoolTooLarge:
     """A pool that cannot be allocated (2**61 slots) or indexed (2**70) is
-    an error naming the slot count.  A bitmap pool allocates its bit array
-    up front.  The free lists are lazy, so replay would run with them; the
-    lifecycle makes its lists of offsets before it draws one value per
-    node, and the churn makes its fill's list before the first acquire.
-    Stand-ins for the draw and for ``Pool.acquire`` fail the test instead
-    of running those loops."""
+    an error naming the slot count, from every command and allocator:
+    every policy makes its storage up front.  The lifecycle makes its
+    lists of offsets before it draws one value per node, and the churn
+    makes its fill's list before the first acquire.  Stand-ins for the
+    draw and for ``Pool.acquire`` fail the test instead of running those
+    loops."""
 
     @pytest.mark.parametrize("slots", [2**61, 2**70])
-    @pytest.mark.parametrize("command, allocator", [
-        *((command, allocator)
-          for command in (["replay", "--trace", "trace.txt"],
-                          ["bench", "--workload", "lifecycle"],
-                          ["bench", "--workload", "churn"])
-          for allocator in ("bitmap", "linear-bitmap")),
-        *((command, allocator)
-          for command in (["bench", "--workload", "lifecycle"],
-                          ["bench", "--workload", "churn"])
-          for allocator in ("freelist-lifo", "freelist-fifo")),
-    ], ids=lambda value: (value if isinstance(value, str) else
-                          value[0] + "-" + value[2].split(".")[0]))
+    @pytest.mark.parametrize("allocator", cli.ALLOCATOR_CHOICES)
+    @pytest.mark.parametrize("command", [
+        ["replay", "--trace", "trace.txt"],
+        ["bench", "--workload", "lifecycle"],
+        ["bench", "--workload", "churn"],
+    ], ids=lambda command: command[0] + "-" + command[2].split(".")[0])
     def test_exits_one_naming_slots(self, capsys, monkeypatch, tmp_path,
                                     command, allocator, slots):
         def free_order_drawn(*args):
@@ -371,6 +365,29 @@ class TestPoolTooLarge:
         assert code == 1
         assert out == ""
         assert err == f"error: a pool of {slots} slots does not fit in memory\n"
+
+    @pytest.mark.parametrize("workload_name", ["lifecycle", "churn"])
+    def test_offset_lists_are_made_before_any_draw_or_acquire(
+            self, capsys, monkeypatch, workload_name):
+        # a pool that fits but whose lists of offsets do not fails before
+        # the first draw or acquire, with the workload's own message
+        class SizelessPool:
+            def __init__(self, slot_size, capacity, policy_kind):
+                pass
+
+            def acquire(self):
+                raise AssertionError("slot acquired before the lists were made")
+
+        def free_order_drawn(*args):
+            raise AssertionError("free order drawn before the lists were made")
+
+        monkeypatch.setattr(workload, "Pool", SizelessPool)
+        monkeypatch.setattr(workload, "lifecycle_free_order", free_order_drawn)
+        code, out, err = run_cli(capsys, "bench", "--workload", workload_name,
+                                 "--slots", str(2**61))
+        assert (code, out) == (1, "")
+        assert err == (f"error: the {workload_name} workload at {2**61} "
+                       "slots does not fit in memory\n")
 
 
 class TestDemo:

@@ -188,3 +188,12 @@ class TestPolicyTable:
     def test_unknown_kind(self, capacity):
         with pytest.raises(ValueError, match=r"^unknown policy kind 'slab'$"):
             make_policy("slab", capacity)
+
+    @pytest.mark.parametrize("capacity", [2 ** 61, 2 ** 70])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_pool_too_large_for_memory(self, kind, capacity):
+        # every policy makes its storage up front, so a pool that cannot
+        # be allocated (2**61) or indexed (2**70) is refused by every kind
+        message = f"^a pool of {capacity} slots does not fit in memory$"
+        with pytest.raises(ValueError, match=message):
+            make_policy(kind, capacity)
