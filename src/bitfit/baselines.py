@@ -1,8 +1,9 @@
 """Baseline allocator policies: LIFO/FIFO free lists and a linear-scan bitmap.
 
 The free lists model the bucketed-arena behavior that randomizes addresses
-over time; the linear bitmap is the brute-force first-fit scan used as the
-correctness oracle for the tree allocator.
+over time; the linear bitmap is the brute-force first-fit scan that the
+tree allocator is measured against.  ``tests/oracles.py`` holds each to
+its definition.
 """
 
 from collections import deque
@@ -62,7 +63,7 @@ class FreeListPolicy(_HintIgnoringPolicy):
         if not 0 <= slot < self.capacity:
             raise out_of_range("slot", slot, self.capacity)
         if not self._used[slot]:
-            raise DoubleFree(f"slot {slot} is not currently allocated")
+            raise DoubleFree(f"slot {slot} is already free")
         self._used[slot] = 0
         self.free_sequence.append(slot)
 
@@ -70,8 +71,8 @@ class FreeListPolicy(_HintIgnoringPolicy):
 class LinearBitmapPolicy(_HintIgnoringPolicy):
     """First-fit over a flat occupancy byte array, scanned left to right.
 
-    Worst-case linear per allocation; exists as the independent oracle the
-    tree allocator must agree with slot-for-slot.
+    Worst-case linear per allocation; the tests hold it to first fit with
+    ``tests/oracles.FirstFitReference``.
     """
 
     def __init__(self, capacity: int):

@@ -1,9 +1,9 @@
 """The lifecycle and churn workloads plus address-geometry metrics.
 
 Each workload's seeded decisions are defined once here, as a schedule
-(``lifecycle_free_order``, ``churn_steps``): the runners drive a ``Pool``
-with it, and the trace writers in ``tests/oracles.py`` write it out as
-text.
+(``lifecycle_free_order``, ``churn_steps``) that names its ids and is
+read once: the runners drive a ``Pool`` with it, and the trace writers
+in ``tests/oracles.py`` write it out as text.
 
 The lifecycle run allocates a list of random-valued nodes, frees every
 node in value order, and allocates the list again.  A list traversed from
@@ -20,11 +20,12 @@ plain tuples of their fields.
 """
 
 import random
-from itertools import chain
+from itertools import chain, islice
 from operator import sub
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 from .pool import Pool
+from .trace import ALLOC, FREE
 
 GENERATOR_NAME = "mt19937"  # random.Random; identity recorded in reports
 
@@ -76,8 +77,8 @@ def measure(offsets: Sequence[int], slot_size: int,
     )
 
 
-def lifecycle_free_order(node_count: int, seed: int) -> List[int]:
-    """Node indices in the order the lifecycle frees them.
+def lifecycle_free_order(node_count: int, seed: int) -> Iterator[int]:
+    """Node indices in the lifecycle's free order, as a one-pass iterator.
 
     Node ``i`` gets the ``i``-th value drawn with ``randint(0, 100)`` from
     ``random.Random(seed)``, and the nodes are freed in value order, equal
@@ -91,6 +92,9 @@ def lifecycle_free_order(node_count: int, seed: int) -> List[int]:
     and concatenating the lists is the stable sort without a sort.  The
     tests compare this with ``randint`` and ``sorted``, which would catch
     a Python whose ``randint`` draws differently.
+
+    Every value is drawn in the call; read to its end, the iterator
+    holds none of the indices.
     """
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
@@ -101,16 +105,16 @@ def lifecycle_free_order(node_count: int, seed: int) -> List[int]:
         while value > 100:
             value = getrandbits(7)
         by_value[value].append(i)
-    return list(chain.from_iterable(by_value))
+    return chain.from_iterable(by_value)
 
 
 def churn_steps(capacity: int, target_fill: float, ops: int,
-                seed: int) -> Iterator[Optional[int]]:
+                seed: int) -> Iterator[Tuple[str, int]]:
     """The churn workload's schedule, one step per allocation or free.
 
-    Ids number the allocations from 0.  A step is ``None`` for "allocate
-    the next id" or an int ``k`` for "free id k".  The schedule first
-    fills to round(capacity * target_fill), then takes ``ops`` steps:
+    A step is ``(trace.ALLOC, k)`` or ``(trace.FREE, k)``: the schedule
+    names every id, numbering the allocations 0, 1, 2, ... in order.  It
+    first fills to round(capacity * target_fill), then takes ``ops`` steps:
     below target allocate, at or above target free a uniformly random
     live id.  The arguments are checked before the first step is taken.
     """
@@ -130,21 +134,21 @@ def _churn_fill(capacity: int, target_fill: float) -> int:
 
 
 def _churn_schedule(target: int, ops: int,
-                    rng: random.Random) -> Iterator[Optional[int]]:
-    for _ in range(target):
-        yield None
+                    rng: random.Random) -> Iterator[Tuple[str, int]]:
+    for k in range(target):
+        yield ALLOC, k
     live = list(range(target))
     fresh = target
     for _ in range(ops):
         if len(live) < target or not live:
             live.append(fresh)
+            yield ALLOC, fresh
             fresh += 1
-            yield None
         else:
             # swap the victim to the end so the pop is O(1)
             victim = rng.randrange(len(live))
             live[victim], live[-1] = live[-1], live[victim]
-            yield live.pop()
+            yield FREE, live.pop()
 
 
 def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
@@ -179,7 +183,7 @@ def run_list_lifecycle(policy_kind: str, node_count: int, slot_size: int,
 def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
                      ops: int, seed: int, slot_size: int = 32,
                      line_size: int = DEFAULT_LINE_SIZE) -> LocalityReport:
-    """Churn the pool around ``target_fill`` and report on a fresh acquire batch.
+    """Churn the pool around ``target_fill`` and report on a refill batch.
 
     Runs ``churn_steps``, then a final batch acquires all remaining free
     slots; the report covers the batch's offsets.  With ops == 0 it
@@ -192,18 +196,14 @@ def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
     steps = churn_steps(capacity, target_fill, ops, seed)
     pool = Pool(slot_size, capacity, policy_kind)
     fill = [0] * _churn_fill(capacity, target_fill)  # by id
-    # the schedule starts with one allocate step per fill id; zip takes
-    # them and leaves the rest of the steps in the iterator
-    for i, _ in zip(range(len(fill)), steps):
-        fill[i] = pool.acquire()
+    for _, k in islice(steps, len(fill)):
+        fill[k] = pool.acquire()
     if ops == 0:
         return measure(fill, slot_size, line_size)
     live = dict(enumerate(fill))  # the offset of each live id
-    fresh = len(fill)
-    for k in steps:
-        if k is None:
-            live[fresh] = pool.acquire()
-            fresh += 1
+    for op, k in steps:
+        if op == ALLOC:
+            live[k] = pool.acquire()
         else:
             pool.release(live.pop(k))
     batch = [pool.acquire() for _ in range(pool.free_count)]

@@ -254,12 +254,5 @@ def churn_trace(capacity, target_fill, ops, seed):
     """Random alloc/free stream holding the live count near the target fill."""
     from bitfit.workload import churn_steps
 
-    lines = []
-    fresh = 0
-    for k in churn_steps(capacity, target_fill, ops, seed):
-        if k is None:
-            lines.append(f"alloc c{fresh}")
-            fresh += 1
-        else:
-            lines.append(f"free c{k}")
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(f"{op} c{k}\n"
+                   for op, k in churn_steps(capacity, target_fill, ops, seed))

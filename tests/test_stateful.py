@@ -45,21 +45,33 @@ class PoolsAgainstOracles(RuleBasedStateMachine):
         return len(self.live["bitmap"]) == self.capacity
 
     def expect(self, error, call):
-        """``call(kind, pool)`` must raise ``error`` itself in every pool."""
+        """``call(kind, pool)`` must raise ``error`` itself in every pool;
+        returns each kind's message."""
+        messages = {}
         for kind, pool in self.pools.items():
             with pytest.raises(AllocatorError) as err:
                 call(kind, pool)
             assert type(err.value) is error, kind
+            messages[kind] = str(err.value)
+        return messages
+
+    def expect_alike(self, error, call):
+        """``expect``, for a fault whose message names nothing that differs
+        between the pools: every pool must give the same message."""
+        messages = set(self.expect(error, call).values())
+        assert len(messages) == 1, messages
 
     def allocate(self, hints):
         """Allocate in every pool, near ``hints[kind]`` unless ``hints`` is
         None, and check each offset against the pool's oracle."""
         if self.full():
             if hints is None:
-                self.expect(PoolExhausted, lambda kind, pool: pool.acquire())
+                self.expect_alike(PoolExhausted,
+                                  lambda kind, pool: pool.acquire())
             else:
-                self.expect(PoolExhausted,
-                            lambda kind, pool: pool.acquire_near(hints[kind]))
+                self.expect_alike(
+                    PoolExhausted,
+                    lambda kind, pool: pool.acquire_near(hints[kind]))
             return multiple()
         offsets = {}
         for kind, pool in self.pools.items():
@@ -98,10 +110,15 @@ class PoolsAgainstOracles(RuleBasedStateMachine):
     @precondition(lambda self: not self.full())
     @rule(k=st.integers(0, 39))
     def double_free(self, k):
+        released = {}
+
         def call(kind, pool):
             free = sorted(set(range(self.capacity)) - self.live[kind])
-            pool.release(free[k % len(free)] * self.slot_size)
-        self.expect(DoubleFree, call)
+            released[kind] = free[k % len(free)]
+            pool.release(released[kind] * self.slot_size)
+        messages = self.expect(DoubleFree, call)
+        assert messages == {kind: f"slot {slot} is already free"
+                            for kind, slot in released.items()}
 
     @rule(past=st.integers(0, 3), below=st.booleans(), hint=st.booleans())
     def out_of_range(self, past, below, hint):
@@ -115,9 +132,10 @@ class PoolsAgainstOracles(RuleBasedStateMachine):
 
     def bad_offset(self, error, offset, hint):
         if hint:
-            self.expect(error, lambda kind, pool: pool.acquire_near(offset))
+            self.expect_alike(error,
+                              lambda kind, pool: pool.acquire_near(offset))
         else:
-            self.expect(error, lambda kind, pool: pool.release(offset))
+            self.expect_alike(error, lambda kind, pool: pool.release(offset))
 
     @invariant()
     def consistent(self):

@@ -304,9 +304,16 @@ class TestGenerate:
         assert records == replay(parse_trace(a), Pool(1, 4, "bitmap"), {})
 
     def test_churn_frees_only_live_ids(self):
-        text = churn_trace(32, 0.7, 100, 1)
-        # raises if invalid
-        replay(parse_trace(text), Pool(1, 32, "freelist_lifo"), {})
+        for capacity, fill, ops, seed in [
+            (32, 0.7, 100, 1), (64, 0.0, 50, 2), (100, 0.5, 0, 1),
+            (1, 0.0, 9, 0), (1, 0.7, 0, 0), (7, 0.99, 300, 3),
+        ]:
+            events = parse_trace(churn_trace(capacity, fill, ops, seed))
+            # raises if invalid
+            replay(events, Pool(1, capacity, "freelist_lifo"), {})
+            # the schedule numbers the allocations c0, c1, c2, ... in order
+            allocs = [ev.id for ev in events if ev.op == "alloc"]
+            assert allocs == [f"c{k}" for k in range(len(allocs))]
 
     def test_lifecycle_rebuild_is_in_slot_order_under_bitmap(self):
         text = lifecycle_trace(16, 3)

@@ -105,7 +105,7 @@ class TestLifecycleFreeOrder:
     @example(node_count=1, seed=2 ** 32)
     @settings(max_examples=300, deadline=None)
     def test_matches_randint_and_stable_sort(self, node_count, seed):
-        assert (lifecycle_free_order(node_count, seed)
+        assert (list(lifecycle_free_order(node_count, seed))
                 == lifecycle_free_order_reference(node_count, seed))
 
     def test_node_count_validated(self):
