@@ -1,10 +1,10 @@
 """Fixed-size pool allocator with a hierarchical occupancy bitmap.
 
 Allocation, free, and hint-directed allocation all run in logarithmic
-time, and freed slots are always reissued in address order, which keeps
-linked structures cache friendly across churn.  Baseline free-list and
-linear-scan policies, locality workloads, and a trace replayer round out
-the toolkit.
+time, and without a hint freed slots are always reissued in address
+order, which keeps linked structures cache friendly across churn.
+Baseline free-list and linear-scan policies, locality workloads, and a
+trace replayer round out the toolkit.
 """
 
 from .baselines import FreeListPolicy, LinearBitmapPolicy

@@ -8,7 +8,7 @@ its definition.
 
 from collections import deque
 
-from .errors import DoubleFree, PoolExhausted, out_of_range
+from .errors import already_free, exhausted, out_of_range
 
 
 class _HintIgnoringPolicy:
@@ -55,7 +55,7 @@ class FreeListPolicy(_HintIgnoringPolicy):
             slot = self.next_fresh
             self.next_fresh += 1
         else:
-            raise PoolExhausted("all slots are in use")
+            raise exhausted()
         self._used[slot] = 1
         return slot
 
@@ -63,7 +63,7 @@ class FreeListPolicy(_HintIgnoringPolicy):
         if not 0 <= slot < self.capacity:
             raise out_of_range("slot", slot, self.capacity)
         if not self._used[slot]:
-            raise DoubleFree(f"slot {slot} is already free")
+            raise already_free(slot)
         self._used[slot] = 0
         self.free_sequence.append(slot)
 
@@ -85,7 +85,7 @@ class LinearBitmapPolicy(_HintIgnoringPolicy):
     def allocate(self) -> int:
         slot = self.leaf_bits.find(0)
         if slot < 0:
-            raise PoolExhausted("all slots are in use")
+            raise exhausted()
         self.leaf_bits[slot] = 1
         self.free_count -= 1
         return slot
@@ -94,6 +94,6 @@ class LinearBitmapPolicy(_HintIgnoringPolicy):
         if not 0 <= slot < self.capacity:
             raise out_of_range("slot", slot, self.capacity)
         if self.leaf_bits[slot] == 0:
-            raise DoubleFree(f"slot {slot} is already free")
+            raise already_free(slot)
         self.leaf_bits[slot] = 0
         self.free_count += 1

@@ -9,7 +9,7 @@ the root bit alone answers "is the pool full?" in O(1).  Children of node
 ``i`` live at ``2*i + 1`` and ``2*i + 2``.
 """
 
-from .errors import DoubleFree, PoolExhausted, out_of_range
+from .errors import already_free, exhausted, out_of_range
 
 
 def _next_pow2(n: int) -> int:
@@ -98,13 +98,13 @@ class BitTree:
         if hint is None:
             if bits[0]:
                 self.op_steps += 1
-                raise PoolExhausted("all slots are in use")
+                raise exhausted()
         else:
             if not 0 <= hint < self.capacity:
                 raise out_of_range("hint", hint, self.capacity)
             if bits[0]:
                 self.op_steps += 1
-                raise PoolExhausted("all slots are in use")
+                raise exhausted()
             leaf = base + 1 + hint
             idx = leaf - 1  # where the walk ends when the hint itself is free
             level = steps - 2  # the depth of the hint leaf
@@ -148,7 +148,7 @@ class BitTree:
         idx = self.n_leaves - 1 + slot
         if not bits[idx]:
             self.op_steps += 1
-            raise DoubleFree(f"slot {slot} is already free")
+            raise already_free(slot)
         bits[idx] = 0
         self.free_count += 1
         steps = 2

@@ -1,5 +1,7 @@
 """Exception types shared by all allocator policies and the trace replayer,
-plus the out-of-range errors every policy and the pool raise."""
+plus the one builder of each allocator fault: ``exhausted``,
+``already_free``, ``out_of_range`` and ``bad_offset``.  Callers compare
+inline and build a fault only on the error path."""
 
 
 class AllocatorError(Exception):
@@ -10,8 +12,18 @@ class PoolExhausted(AllocatorError):
     """No free slot is available."""
 
 
+def exhausted() -> PoolExhausted:
+    """The error for an allocation from a pool with no free slot."""
+    return PoolExhausted("all slots are in use")
+
+
 class DoubleFree(AllocatorError):
     """The slot being released is not currently allocated."""
+
+
+def already_free(slot: int) -> DoubleFree:
+    """The error for a release of ``slot``, which is already free."""
+    return DoubleFree(f"slot {slot} is already free")
 
 
 class OutOfRange(AllocatorError):
@@ -19,8 +31,7 @@ class OutOfRange(AllocatorError):
 
 
 def out_of_range(what: str, index: int, capacity: int) -> OutOfRange:
-    """The error for a ``what`` (slot or hint) outside ``[0, capacity)``.
-    Callers compare inline and build it only on the error path."""
+    """The error for a ``what`` (slot or hint) outside ``[0, capacity)``."""
     return OutOfRange(f"{what} {index} not in [0, {capacity})")
 
 
@@ -45,7 +56,11 @@ class TraceError(Exception):
 
 
 class TraceSyntaxError(TraceError):
-    """Line does not match the trace grammar."""
+    """Line does not match the trace grammar.  Raised by ``parse_trace``,
+    it carries in ``events`` the events of the lines before the bad one;
+    built anywhere else, ``events`` is ``()``."""
+
+    events = ()
 
 
 class UnknownId(TraceError):

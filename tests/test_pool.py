@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import bitfit
 from bitfit import (
     POLICY_KINDS,
     AllocatorError,
@@ -131,6 +134,20 @@ def test_out_of_range_messages(kind, index):
         policy.release(index)
     with pytest.raises(OutOfRange, match=rf"^hint {index} not in \[0, 5\)$"):
         policy.allocate_with_hint(index)
+
+
+def test_only_errors_builds_allocator_faults():
+    # each fault is worded once: every other module raises through the
+    # builders of errors.py
+    faults = {"PoolExhausted", "DoubleFree", "OutOfRange", "Misaligned"}
+    built = {}
+    for path in sorted(Path(bitfit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name in faults:
+                    built.setdefault(path.name, set()).add(name)
+    assert built == {"errors.py": faults}
 
 
 def test_slot_offset_bijection():

@@ -126,9 +126,19 @@ class TestChurn:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bitmap_batch_tighter_than_lifo(self, seed):
+        # never looser; today the two batches are the same (see below)
         bitmap = run_random_churn("bitmap", 512, 0.7, 3000, seed)
         lifo = run_random_churn("freelist_lifo", 512, 0.7, 3000, seed)
         assert bitmap.mean_abs_gap <= lifo.mean_abs_gap
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: once the fill is reached every free is followed by "
+        "an allocation, so every allocator prints the same batch"))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bitmap_batch_strictly_tighter_than_lifo(self, seed):
+        bitmap = run_random_churn("bitmap", 512, 0.7, 3000, seed)
+        lifo = run_random_churn("freelist_lifo", 512, 0.7, 3000, seed)
+        assert bitmap.mean_abs_gap < lifo.mean_abs_gap
 
     def test_fill_validated(self):
         with pytest.raises(ValueError):
