@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from .bittree import BitTree
 from .errors import AllocatorError, TraceError
-from .pool import POLICY_KINDS, Pool
+from .pool import POLICY_KINDS
 from .trace import replay_file
 from .workload import LocalityReport, run_list_lifecycle, run_random_churn
 
@@ -188,8 +188,7 @@ def cmd_replay(args) -> int:
                                           newline="")
     as_json = args.format == "json"
     try:
-        with spool, open(args.trace, "rb") as fh:
-            pool = Pool(args.slot_size, args.slots, policy)  # before any line
+        with spool:
             if as_json:
                 # the report around an empty record list, cut open inside
                 # the list
@@ -202,7 +201,8 @@ def cmd_replay(args) -> int:
             else:
                 # text and csv share the canonical record table
                 spool.write("line,op,id,slot,offset\n")
-            for records in replay_file(fh, pool):
+            for records in replay_file(args.trace, args.slot_size,
+                                       args.slots, policy):
                 if not as_json:
                     spool.write("".join([
                         f"{line_no},{op},{id_},{slot},{offset}\n"

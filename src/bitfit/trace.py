@@ -12,18 +12,19 @@ whose first token starts with ``#`` is a comment; blank lines are
 skipped.  Hints name live ids rather than raw slots, so the same trace
 replays through any policy.
 
-A trace file is read through ``io.TextIOWrapper`` in blocks of
+A trace file is opened as text by ``open_trace`` and read in blocks of
 ``BLOCK_BYTES`` characters and the rest of their last line:
 ``read_blocks`` yields these whole lines with the number of the first,
 ``parse_trace`` parses one block and ``replay`` runs its events through a
-pool and a live-id map.  ``replay_file`` runs the whole file so, keeping
-the map from block to block.  Memory is bounded by the live ids, one
-block and the text since the last ``"\n"`` or ``"\r"``, not by the
-length of the trace; a line ended by a rarer break (``"\v"``, ``"\f"``,
-``"\x1c"`` to ``"\x1e"``, U+0085, U+2028, U+2029) is held until the next
-one of those two.  A ``TraceSyntaxError`` that ``parse_trace`` raises
-carries in ``events`` the events of the lines before the bad one, so
-``replay_file`` replays them without parsing its block a second time.
+pool and a live-id map.  ``replay_file`` owns a whole replay: it opens
+the file, makes the pool and runs the file so, keeping the map from block
+to block.  Memory is bounded by the live ids, one block and the text
+since the last ``"\n"`` or ``"\r"``, not by the length of the trace; a
+line ended by a rarer break (``"\v"``, ``"\f"``, ``"\x1c"`` to
+``"\x1e"``, U+0085, U+2028, U+2029) is held until the next one of those
+two.  A ``TraceSyntaxError`` that ``parse_trace`` raises carries in
+``events`` the events of the lines before the bad one, so ``replay_file``
+replays them without parsing its block a second time.
 
 A byte that is not UTF-8 is decoded as the lone surrogate U+DC80 to U+DCFF
 that stands for it (PEP 383's ``surrogateescape``), and ``parse_trace``
@@ -34,10 +35,9 @@ Events and replay records are named tuples, so they compare equal to
 plain tuples of their fields.
 """
 
-import io
 import re
-from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, \
-    Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, \
+    TextIO, Tuple
 
 from .errors import (
     AllocatorError,
@@ -86,25 +86,27 @@ class ReplayRecord(NamedTuple):
 _make = tuple.__new__
 
 
-def read_blocks(fh: BinaryIO) -> Iterator[Tuple[int, str]]:
-    r"""Read the binary trace file ``fh`` and yield ``(first_line, text)``:
-    ``text`` is ``BLOCK_BYTES`` characters and the rest of their last line,
-    which ends at a ``"\n"``, ``"\r"`` or ``"\r\n"`` or at the end of the
-    file, and ``first_line`` numbers its first line as ``str.splitlines``
-    would number the lines of the whole file.  Never raises on the content:
-    a byte that is not UTF-8 reaches ``text`` as its lone surrogate, for
-    ``parse_trace`` to report.  ``fh`` is left open.
+def open_trace(path) -> TextIO:
+    """Open the trace file at ``path`` for ``read_blocks``: as UTF-8 text
+    whose bad bytes decode to lone surrogates, with line breaks untranslated.
     """
-    text_io = io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def read_blocks(fh: TextIO) -> Iterator[Tuple[int, str]]:
+    r"""Read the trace file ``fh``, opened by ``open_trace``, and yield
+    ``(first_line, text)``: ``text`` is ``BLOCK_BYTES`` characters and the
+    rest of their last line, which ends at a ``"\n"``, ``"\r"`` or
+    ``"\r\n"`` or at the end of the file, and ``first_line`` numbers its
+    first line as ``str.splitlines`` would number the lines of the whole
+    file.  Never raises on the content: a byte that is not UTF-8 reaches
+    ``text`` as its lone surrogate, for ``parse_trace`` to report.
+    """
     first_line = 1
-    try:
-        while text := text_io.read(BLOCK_BYTES):
-            text += text_io.readline()
-            yield first_line, text
-            first_line += len(text.splitlines())
-    finally:
-        if not fh.closed:  # the caller may have closed it first
-            text_io.detach()
+    while text := fh.read(BLOCK_BYTES):
+        text += fh.readline()
+        yield first_line, text
+        first_line += len(text.splitlines())
 
 
 def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
@@ -207,17 +209,23 @@ def replay(events: Sequence[TraceEvent], pool: Pool,
     return records
 
 
-def replay_file(fh: BinaryIO, pool: Pool) -> Iterator[List[ReplayRecord]]:
-    """Replay the binary trace file ``fh`` through ``pool`` block by block
-    and yield each block's records.  A failure is raised at the earliest
-    line that fails, whether it fails to decode, to parse or to replay.
+def replay_file(path, slot_size: int, capacity: int,
+                policy_kind: str) -> Iterator[List[ReplayRecord]]:
+    """Replay the trace file at ``path`` through a new ``Pool(slot_size,
+    capacity, policy_kind)`` block by block and yield each block's records.
+    The file is opened and the pool made before any line is read, and the
+    file is closed when the replay ends, fails or is closed.  A failure is
+    raised at the earliest line that fails, whether it fails to decode, to
+    parse or to replay.
     """
-    live = {}
-    for first_line, block in read_blocks(fh):
-        try:
-            events = parse_trace(block, first_line)
-        except TraceSyntaxError as exc:
-            # a replay error on an earlier line of the block comes first
-            replay(exc.events, pool, live)
-            raise
-        yield replay(events, pool, live)
+    with open_trace(path) as fh:
+        pool = Pool(slot_size, capacity, policy_kind)
+        live = {}
+        for first_line, block in read_blocks(fh):
+            try:
+                events = parse_trace(block, first_line)
+            except TraceSyntaxError as exc:
+                # a replay error on an earlier line of the block comes first
+                replay(exc.events, pool, live)
+                raise
+            yield replay(events, pool, live)

@@ -161,6 +161,14 @@ class TestReplay:
         assert code == 1
         assert err
 
+    def test_missing_file_is_reported_before_the_pool(self, capsys, tmp_path):
+        # the trace is opened before a pool too large for memory is made
+        path = str(tmp_path / "nope.txt")
+        code, out, err = run_cli(capsys, "replay", "--trace", path,
+                                 "--slots", str(2 ** 61))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
     def test_trace_too_large_for_memory_exits_one(self, capsys, monkeypatch,
                                                   tmp_path):
         def parse_trace(text, first_line=1):
@@ -459,7 +467,7 @@ def test_import_adds_only_bitfit_to_its_stdlib_imports():
     # bitfit's own
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import argparse, collections, functools, io, itertools, json, "
+            "import argparse, collections, functools, itertools, json, "
             "json.encoder, operator, random, re, time, typing; "
             "before = set(sys.modules); import bitfit.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")

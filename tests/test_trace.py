@@ -1,6 +1,3 @@
-import io
-import warnings
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -174,13 +171,22 @@ class TestParse:
             assert parse_trace(text) == expected
 
 
+def read_file_blocks(tmp_path, data):
+    """The blocks of ``data`` read back from a file as the CLI reads it."""
+    path = tmp_path / "trace.txt"
+    path.write_bytes(data)
+    with trace.open_trace(path) as fh:
+        return list(read_blocks(fh))
+
+
 class TestReadBlocks:
     DATA = "alloc a\r\n# é€\x85free a\ralloc_hint b a\u2028\n\nalloc c".encode()
 
     @pytest.mark.parametrize("block", range(1, 12))
-    def test_blocks_parse_as_the_whole_text(self, monkeypatch, block):
+    def test_blocks_parse_as_the_whole_text(self, monkeypatch, tmp_path,
+                                            block):
         monkeypatch.setattr(trace, "BLOCK_BYTES", block)
-        blocks = list(read_blocks(io.BytesIO(self.DATA)))
+        blocks = read_file_blocks(tmp_path, self.DATA)
         # every block but the last ends at a line break, and each numbers
         # its lines as the whole file does
         assert all(text.splitlines(True)[-1] != text.splitlines()[-1]
@@ -192,10 +198,10 @@ class TestReadBlocks:
 
     @pytest.mark.parametrize("block", [1, 2, 8192])
     def test_bad_byte_reaches_its_line_for_the_parser_to_report(
-            self, monkeypatch, block):
+            self, monkeypatch, tmp_path, block):
         monkeypatch.setattr(trace, "BLOCK_BYTES", block)
         data = b"alloc a\r\nfree a\rx\xe2\x82\n"
-        blocks = list(read_blocks(io.BytesIO(data)))
+        blocks = read_file_blocks(tmp_path, data)
         assert "".join(text for _, text in blocks).splitlines() == \
             ["alloc a", "free a", "x\udce2\udc82"]
         with pytest.raises(TraceSyntaxError) as err:
@@ -205,53 +211,79 @@ class TestReadBlocks:
 
     @pytest.mark.parametrize("piece", ["é", "€", "\r\n", "\udce2\udc82"],
                              ids=["e-acute", "euro", "crlf", "bad-byte"])
-    def test_piece_across_the_wrappers_read_boundary(self, piece):
+    def test_piece_across_the_wrappers_read_boundary(self, tmp_path, piece):
         # the piece's bytes start at byte 8191 of the file and so straddle
         # byte 8192, where the text wrapper's first read ends
         text = "#" * 8188 + "\n# " + piece + "\nalloc a\n"
         data = text.encode("utf-8", "surrogateescape")
         assert data.index(piece.encode("utf-8", "surrogateescape")) == 8191
-        blocks = list(read_blocks(io.BytesIO(data)))
+        blocks = read_file_blocks(tmp_path, data)
         lines = [(first_line + i, raw) for first_line, block_text in blocks
                  for i, raw in enumerate(block_text.splitlines())]
         assert lines == list(enumerate(text.splitlines(), 1))
-
-    def test_caller_owns_the_file(self):
-        # a text wrapper closes its buffer when it is collected, unless it
-        # was detached first, so an abandoned reader must detach it too
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fh = io.BytesIO(b"alloc a\n" * 4000)
-            assert len(list(read_blocks(fh))) > 1
-            assert not fh.closed
-            fh = io.BytesIO(b"alloc a\n" * 4000)
-            blocks = read_blocks(fh)
-            next(blocks)
-            blocks.close()
-            assert not fh.closed
-            # and a caller may close its file before the reader
-            blocks = read_blocks(fh)
-            next(blocks)
-            fh.close()
-            blocks.close()
-        assert [w for w in caught if issubclass(w.category,
-                                               ResourceWarning)] == []
 
     @pytest.mark.parametrize("block", [1, 2, 4, 5, 64])
     @pytest.mark.parametrize("text", [
         churn_trace(64, 0.7, 200, 1).replace("\n", "\r"),
         "# x\r" * 40,  # every block of 4 characters ends in its only "\r"
     ], ids=["churn", "aligned"])
-    def test_cr_only_trace_is_cut_at_its_breaks(self, monkeypatch, block,
-                                                text):
+    def test_cr_only_trace_is_cut_at_its_breaks(self, monkeypatch, tmp_path,
+                                                block, text):
         monkeypatch.setattr(trace, "BLOCK_BYTES", block)
-        blocks = list(read_blocks(io.BytesIO(text.encode())))
+        blocks = read_file_blocks(tmp_path, text.encode())
         longest = max(map(len, text.splitlines(True)))
         assert max(len(block_text) for _, block_text in blocks) <= \
             block + longest
         events = [ev for first_line, block_text in blocks
                   for ev in parse_trace(block_text, first_line)]
         assert events == parse_trace(text)
+
+
+class TestReplayFile:
+    def test_opens_the_file_then_makes_the_pool(self, monkeypatch, tmp_path):
+        records = trace.replay_file(tmp_path / "nope.txt", 1, 2 ** 61, "bitmap")
+        with pytest.raises(FileNotFoundError):
+            next(records)
+
+        def parse_trace(text, first_line=1):
+            pytest.fail("a line was parsed before the pool was made")
+
+        monkeypatch.setattr(trace, "parse_trace", parse_trace)
+        path = tmp_path / "trace.txt"
+        path.write_text("alloc a\n")
+        records = trace.replay_file(path, 1, 2 ** 61, "bitmap")
+        with pytest.raises(ValueError, match="does not fit in memory"):
+            next(records)
+
+    @pytest.mark.parametrize("text, error", [
+        ("alloc a\nfree a\n", None),
+        ("alloc a\nalloc\n", TraceSyntaxError),
+        ("alloc a\nfree b\n", UnknownId),
+        ("".join(f"alloc n{i}\n" for i in range(5000)), GeneratorExit),
+    ], ids=["exhausted", "syntax-error", "unknown-id", "closed-early"])
+    def test_the_file_is_closed(self, monkeypatch, tmp_path, text, error):
+        opened = []
+        open_trace = trace.open_trace
+
+        def spy(path):
+            opened.append(open_trace(path))
+            return opened[-1]
+
+        monkeypatch.setattr(trace, "open_trace", spy)
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        records = trace.replay_file(path, 8, 8192, "bitmap")
+        if error is None:
+            assert len([r for block in records for r in block]) == 1
+        elif error is GeneratorExit:
+            # stopped after its first block, with more of the file to read
+            assert len(next(records)) < 5000
+            assert not opened[0].closed
+            records.close()
+        else:
+            with pytest.raises(error):
+                list(records)
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestRoundTrip:
