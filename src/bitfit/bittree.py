@@ -162,7 +162,8 @@ class BitTree:
         self.op_steps += steps
 
     def check_integrity(self) -> bool:
-        """Verify the AND invariant, phantom padding, and the free count."""
+        """Verify the AND invariant, phantom padding, and the free count;
+        the tests hold it to ``tests/oracles.rebuild_internal``."""
         bits, capacity = self.bits, self.capacity
         base = self.n_leaves - 1
         # whole rows, compared in C: the internal row ``bits[:base]`` against

@@ -5,7 +5,8 @@ Configuration is flags-only, and identical flags produce byte-identical
 output; --timestamp only adds a key to the JSON config.  No environment
 variable changes the output; the one consulted is tempfile's TMPDIR, the
 directory where replay output beyond SPOOL_BYTES waits until the replay
-has succeeded.
+has succeeded (one that cannot be written exits 1 naming the OS error).
+``replay`` renders only what ``trace.replay_file`` yields.
 """
 
 import argparse
@@ -116,12 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target fill ratio for the churn workload")
     bench.add_argument("--ops", type=_int_at_least(0), default=1000,
                        help="churn operation count")
+    bench.set_defaults(handler=cmd_bench)
 
     rep = sub.add_parser("replay", help="replay a trace file")
     common(rep, seeded=False)
     rep.add_argument("--trace", required=True, help="path to the trace file")
+    rep.set_defaults(handler=cmd_replay)
 
-    sub.add_parser("demo", help="walk the 8-slot worked examples")
+    demo = sub.add_parser("demo", help="walk the 8-slot worked examples")
+    demo.set_defaults(handler=cmd_demo)
     return parser
 
 
@@ -225,10 +229,10 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _bit_rows(tree: BitTree) -> str:
+def _bit_rows(label: str, tree: BitTree) -> str:
     indices = " ".join(f"{i:2d}" for i in range(len(tree.bits)))
     values = " ".join(f"{bit:2d}" for bit in tree.bits)
-    return f"  index: {indices}\n  bit:   {values}"
+    return f"{label}\n  index: {indices}\n  bit:   {values}"
 
 
 def cmd_demo(args) -> int:
@@ -237,23 +241,19 @@ def cmd_demo(args) -> int:
 
     tree = BitTree(8)
     print("[1] first allocation on a fresh tree")
-    print("before:")
-    print(_bit_rows(tree))
+    print(_bit_rows("before:", tree))
     slot = tree.allocate()
     print(f"descend left from the root to leaf bit 7 -> slot {slot}")
-    print("after:")
-    print(_bit_rows(tree))
+    print(_bit_rows("after:", tree))
 
     print("\n[2] free the 6th slot of a tree with slots 0..5 in use")
     tree = BitTree(8)
     for _ in range(6):
         tree.allocate()
-    print("before:")
-    print(_bit_rows(tree))
+    print(_bit_rows("before:", tree))
     tree.release(5)
     print("clear leaf bit 12, then ancestors 5 and stop at 2 (already 0)")
-    print("after:")
-    print(_bit_rows(tree))
+    print(_bit_rows("after:", tree))
 
     print("\n[3] hint allocation toward leaf 11 with the right half full")
     tree = BitTree(8)
@@ -261,13 +261,11 @@ def cmd_demo(args) -> int:
         tree.allocate()
     for s in range(4):
         tree.release(s)
-    print("before (slots 4..7 used, internal bit 2 is 1):")
-    print(_bit_rows(tree))
+    print(_bit_rows("before (slots 4..7 used, internal bit 2 is 1):", tree))
     slot = tree.allocate_with_hint(4)
     print(f"hint path blocked at bit 2; descend 0 -> 1 -> 4 -> leaf 10 "
           f"-> slot {slot}")
-    print("after:")
-    print(_bit_rows(tree))
+    print(_bit_rows("after:", tree))
     return 0
 
 
@@ -277,9 +275,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    handlers = {"bench": cmd_bench, "replay": cmd_replay, "demo": cmd_demo}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (AllocatorError, TraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -162,13 +162,10 @@ def _syntax_error(raw: str, line_no: int) -> TraceSyntaxError:
 
 
 def format_trace(events: Sequence[TraceEvent]) -> str:
-    lines = []
-    for ev in events:
-        if ev.op == ALLOC_HINT:
-            lines.append(f"{ev.op} {ev.id} {ev.hint_id}")
-        else:
-            lines.append(f"{ev.op} {ev.id}")
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join([
+        f"{ev.op} {ev.id} {ev.hint_id}\n" if ev.op == ALLOC_HINT
+        else f"{ev.op} {ev.id}\n"
+        for ev in events])
 
 
 def replay(events: Sequence[TraceEvent], pool: Pool,

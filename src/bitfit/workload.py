@@ -16,7 +16,8 @@ slot, the number of distinct cache lines touched, and the mean absolute
 gap.
 
 Reports are named tuples, as trace events are, so they compare equal to
-plain tuples of their fields.
+plain tuples of their fields, and no module of the package imports
+``dataclasses`` and its ``inspect``/``ast`` import chain.
 """
 
 import random

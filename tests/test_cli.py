@@ -142,10 +142,23 @@ class TestReplay:
         assert out == "line,op,id,slot,offset\n1,alloc,a,0,0\n2,alloc,b,1,16\n4,alloc,c,0,0\n"
 
     def test_double_free_exits_one_with_line(self, capsys, tmp_path):
+        # the first free drops the id from the live map, so a replay
+        # reports the second as an unknown id before any DoubleFree can arise
         path = self.write_trace(tmp_path, "alloc a\nfree a\nfree a\n")
-        code, _, err = run_cli(capsys, "replay", "--trace", path, "--slots", "8")
-        assert code == 1
-        assert "line 3" in err
+        assert run_cli(capsys, "replay", "--trace", path, "--slots", "8") == (
+            1, "", "error: line 3: free of unknown id 'a'\n")
+
+    @pytest.mark.parametrize("allocator", cli.ALLOCATOR_CHOICES)
+    @pytest.mark.parametrize("text, slots, error", [
+        ("alloc a\nalloc a\n", "8", "line 2: alloc of live id 'a'"),
+        ("alloc_hint a b\n", "8", "line 1: hint names unknown id 'b'"),
+        ("alloc a\nalloc b\n", "1", "line 2: all slots are in use"),
+    ], ids=["live-id", "unknown-hint", "exhausted"])
+    def test_fault_exits_one_with_its_line(self, capsys, tmp_path, allocator,
+                                           text, slots, error):
+        path = self.write_trace(tmp_path, text)
+        assert run_cli(capsys, "replay", "--trace", path, "--slots", slots,
+                       "--allocator", allocator) == (1, "", f"error: {error}\n")
 
     def test_non_utf8_trace_names_line(self, capsys, tmp_path):
         path = tmp_path / "trace.txt"

@@ -150,6 +150,22 @@ def test_only_errors_builds_allocator_faults():
     assert built == {"errors.py": faults}
 
 
+def test_only_cli_writes_output():
+    # cli renders; every other module returns what it computes
+    streams = {"stdout", "stderr"}
+    writers = set()
+    for path in sorted(Path(bitfit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "print"
+                    or isinstance(node, ast.Attribute) and node.attr in streams
+                    and getattr(node.value, "id", None) == "sys"
+                    or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and streams & {alias.name for alias in node.names}):
+                writers.add(path.name)
+    assert writers == {"cli.py"}
+
+
 def test_slot_offset_bijection():
     # each slot's offset, released, is the offset a hint at it gets back
     pool = Pool(48, 17, "bitmap")
