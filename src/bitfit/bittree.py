@@ -7,6 +7,14 @@ every internal bit is the logical AND of its two children, so a subtree
 whose root bit is 0 is guaranteed to contain at least one free slot, and
 the root bit alone answers "is the pool full?" in O(1).  Children of node
 ``i`` live at ``2*i + 1`` and ``2*i + 2``.
+
+A tree of fewer than 2^17 nodes (at most 65 536 slots) keeps its bits in
+a ``list`` of 0/1 ints, a larger one in a ``bytearray``.  CPython
+specializes ``list[int]`` subscripts, not ``bytearray`` ones, so the same
+reads and writes cost less in a list; but a list costs 8 B per node
+against 1 B, and big pools keep the bytearray's memory.  The container is
+the only difference: the layout, the operations and what ``op_steps``
+counts are the same for both.
 """
 
 from .errors import already_free, exhausted, out_of_range
@@ -26,13 +34,17 @@ class BitTree:
     with no phantom node hold none either, so building a tree over a
     power-of-two capacity writes no bit.
 
+    ``bits`` is a ``list`` below 2^17 nodes and a ``bytearray`` from
+    there on (see the module docstring); both hold the same 0/1 values in
+    the same level order.
+
     ``op_steps`` counts tree steps: one step is one read or one write of
-    an element of ``bits``.  ``allocate`` (hinted or not) and ``release``
-    count every such access they make, including the root or leaf read
-    that ends in ``PoolExhausted`` or ``DoubleFree``; tests use the
-    per-operation delta to verify the logarithmic step bound.  Range
-    checks touch no bit and count nothing, and neither does the read-only
-    observer ``check_integrity``.
+    an element of ``bits``, whichever container holds them.  ``allocate``
+    (hinted or not) and ``release`` count every such access they make,
+    including the root or leaf read that ends in ``PoolExhausted`` or
+    ``DoubleFree``; tests use the per-operation delta to verify the
+    logarithmic step bound.  Range checks touch no bit and count nothing,
+    and neither does the read-only observer ``check_integrity``.
     """
 
     __slots__ = ("capacity", "n_leaves", "bits", "free_count", "op_steps")
@@ -42,7 +54,9 @@ class BitTree:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.n_leaves = _next_pow2(capacity)
-        self.bits = bits = bytearray(2 * self.n_leaves - 1)
+        nodes = 2 * self.n_leaves - 1
+        # list subscripts are faster but cost 8 B/node: lists up to 1 MiB only
+        self.bits = bits = [0] * nodes if nodes < 1 << 17 else bytearray(nodes)
         self.free_count = capacity
         self.op_steps = 0
         # On a fresh tree a node is 1 exactly when its whole subtree is
@@ -169,6 +183,7 @@ class BitTree:
         # whole rows, compared in C: the internal row ``bits[:base]`` against
         # the AND of its child rows, read as big-endian integers
         children = int.from_bytes(bits[1::2], "big") & int.from_bytes(bits[2::2], "big")
+        # counted over slices, since ``list.count`` takes no bounds
         return (int.from_bytes(bits[:base], "big") == children
-                and bits.count(1, base + capacity) == self.n_leaves - capacity
-                and bits.count(0, base, base + capacity) == self.free_count)
+                and bits[base + capacity:].count(1) == self.n_leaves - capacity
+                and bits[base:base + capacity].count(0) == self.free_count)

@@ -26,6 +26,10 @@ PADDED_CAPACITIES = sorted(
     set(range(1, 71)) | {2 ** k + d for k in range(1, 17) for d in (-1, 0, 1)})
 
 
+# the two containers ``BitTree`` keeps ``bits`` in, picked by its size
+STORAGES = (list, bytearray)
+
+
 class TestNew:
     def test_eight_slots_is_fifteen_bits_all_zero(self):
         tree = BitTree(8)
@@ -49,6 +53,16 @@ class TestNew:
         assert tree.bits[0] == 0
         assert tree.free_count == capacity
         assert list(tree.bits) == rebuild_internal(leaves_of(tree))
+
+    def test_storage_follows_the_size(self):
+        # a list below 2^17 nodes; above, 1 B/node, which the 2^24-slot
+        # CI step and the 2^20-slot benchmark's peak memory rely on
+        small = BitTree(65536)
+        assert type(small.bits) is list and len(small.bits) == 131_071
+        for capacity in (65537, 1 << 20):
+            tree = BitTree(capacity)
+            assert type(tree.bits) is bytearray
+            assert len(tree.bits) == 2 * tree.n_leaves - 1
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -181,9 +195,11 @@ class TestObservers:
         assert BitTree(8).check_integrity()
 
     def test_flipped_internal_bit_detected(self):
-        tree = BitTree(8)
-        tree.bits[3] = 1
-        assert not tree.check_integrity()
+        for storage in STORAGES:
+            tree = BitTree(8)
+            tree.bits = storage(tree.bits)
+            tree.bits[3] = 1
+            assert not tree.check_integrity()
 
     def test_wrong_free_count_detected(self):
         tree = BitTree(8)
@@ -193,10 +209,12 @@ class TestObservers:
     @given(capacity=st.integers(1, 70), seed=st.integers(0, 2 ** 32),
            n_ops=st.integers(0, 150), pick=st.integers(0, 2 ** 30),
            row=st.sampled_from(["internal", "real", "phantom", None]),
-           value=st.sampled_from([0, 1, 2, 255]))
+           value=st.sampled_from([0, 1, 2, 255]), storage=st.sampled_from(STORAGES))
     @settings(max_examples=300, deadline=None)
-    def test_integrity_is_the_invariant(self, capacity, seed, n_ops, pick, row, value):
+    def test_integrity_is_the_invariant(self, capacity, seed, n_ops, pick, row, value,
+                                        storage):
         tree = BitTree(capacity)
+        tree.bits = storage(tree.bits)
         for _ in run_ops(tree, random.Random(seed), n_ops, use_hints=True):
             pass
         # set one byte of a row to ``value`` (a row the tree lacks stays
@@ -450,3 +468,53 @@ def test_worked_example_step_counts():
     before = tree.op_steps
     assert tree.allocate_with_hint(4) == 3
     assert tree.op_steps - before == 6
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 100, 4097, 65536, 65537])
+def test_list_and_bytearray_storage_agree(capacity):
+    tree = BitTree(capacity)
+    twin = BitTree(capacity)
+    twin.bits = bytearray(twin.bits) if type(twin.bits) is list else list(twin.bits)
+    rng = random.Random(capacity)
+    live, freed = [], []  # freed: released and not handed out since
+    faults = {PoolExhausted: 0, DoubleFree: 0}
+
+    def both(op, *args):
+        outcomes = []
+        for t in (tree, twin):
+            try:
+                outcomes.append(getattr(t, op)(*args))
+            except (PoolExhausted, DoubleFree) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        assert tree.op_steps == twin.op_steps
+        if outcomes[0] in faults:
+            faults[outcomes[0]] += 1
+        elif op != "release":
+            live.append(outcomes[0])
+            if outcomes[0] in freed:
+                freed.remove(outcomes[0])
+
+    # first fit up to 32 slots short of full, then a mix that runs out
+    for _ in range(capacity - 32):
+        both("allocate")
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.25:
+            both("allocate")
+        elif roll < 0.4 and live:
+            both("allocate_with_hint", rng.choice(live))  # a used slot
+        elif roll < 0.55 and freed:
+            both("allocate_with_hint", rng.choice(freed))  # a free slot
+        elif roll < 0.9 and live:
+            slot = live.pop(rng.randrange(len(live)))
+            both("release", slot)
+            freed.append(slot)
+        elif roll >= 0.9 and freed:
+            both("release", rng.choice(freed))  # a double free
+        else:
+            both("allocate")
+    assert faults[PoolExhausted] and faults[DoubleFree]
+    assert type(tree.bits) is not type(twin.bits)
+    assert list(tree.bits) == list(twin.bits)
+    assert tree.check_integrity() and twin.check_integrity()
