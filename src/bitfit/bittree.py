@@ -73,12 +73,13 @@ class BitTree:
     #
     # The operations index ``bits`` directly and tally their steps in a
     # local, added to ``op_steps`` once per call.  Allocation is one
-    # routine: a descent to a free leaf, which a hint only steers, then
-    # one shared tail that sets the leaf and climbs.  The descent reads
-    # one bit per level, so it costs ``depth`` steps.  Every node it
-    # passes through was 0, so after the leaf is set an ancestor turns 1
-    # exactly while the sibling below it is 1: the climb reads one
-    # sibling per level and stops at the first free one.
+    # routine: the hint's range check, one read of the root, a descent to
+    # a free leaf, which a hint only steers, then one shared tail that
+    # sets the leaf and climbs.  The descent reads one bit per level, so
+    # it costs ``depth`` steps.  Every node it passes through was 0, so
+    # after the leaf is set an ancestor turns 1 exactly while the sibling
+    # below it is 1: the climb reads one sibling per level and stops at
+    # the first free one.
     # ``((i - 1) ^ 1) + 1`` is the sibling of node ``i``.
     #
     # A hinted descent walks the hint leaf's ancestors.  Numbered from 1
@@ -94,31 +95,28 @@ class BitTree:
     def allocate(self, hint: int | None = None) -> int:
         """Mark a free slot used and return it.
 
-        Without a hint this is the lowest-index free slot.  With one, the
-        descent follows the hint leaf's ancestors down from the root while
-        they have a free slot; at the first full one it takes the free
-        sibling and then steers toward the hint at every remaining level
-        (the rightmost free leaf when the hint lies to the right, else the
-        leftmost).  The result is the hint itself when free, and otherwise
-        always falls inside the smallest free subtree on the root-to-hint
-        path.  Greedy, not globally nearest.
+        A hint out of range is refused first, before any bit is read; then
+        one read of the root raises ``PoolExhausted`` on a full tree; then
+        the descent picks the slot.  Without a hint this is the
+        lowest-index free slot.  With one, the descent follows the hint
+        leaf's ancestors down from the root while they have a free slot; at
+        the first full one it takes the free sibling and then steers toward
+        the hint at every remaining level (the rightmost free leaf when the
+        hint lies to the right, else the leftmost).  The result is the hint
+        itself when free, and otherwise always falls inside the smallest
+        free subtree on the root-to-hint path.  Greedy, not globally
+        nearest.
         """
+        if hint is not None and not 0 <= hint < self.capacity:
+            raise out_of_range("hint", hint, self.capacity)
         bits = self.bits
+        if bits[0]:
+            self.op_steps += 1
+            raise exhausted()
         base = self.n_leaves - 1
         steps = 2 + base.bit_length()  # root read, one read per level, leaf write
         idx = 0
-        # each branch checks the root itself, so first fit pays one test
-        # for the hint, and a bad hint is refused before any bit is read
-        if hint is None:
-            if bits[0]:
-                self.op_steps += 1
-                raise exhausted()
-        else:
-            if not 0 <= hint < self.capacity:
-                raise out_of_range("hint", hint, self.capacity)
-            if bits[0]:
-                self.op_steps += 1
-                raise exhausted()
+        if hint is not None:
             leaf = base + 1 + hint
             idx = leaf - 1  # where the walk ends when the hint itself is free
             level = steps - 2  # the depth of the hint leaf

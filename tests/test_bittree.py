@@ -178,15 +178,18 @@ class TestAllocateWithHint:
         with pytest.raises(PoolExhausted):
             tree.allocate_with_hint(0)
 
-    @pytest.mark.parametrize("used", [0, 5], ids=["empty", "full"])
-    def test_hint_out_of_range(self, used):
-        # the range check comes before the root read, even on a full tree
-        tree = BitTree(5)
+    @pytest.mark.parametrize(
+        "capacity, used", [(5, 0), (5, 5), (65537, 0), (65537, 65537)],
+        ids=["empty", "full", "empty-65537", "full-65537"])
+    def test_hint_out_of_range(self, capacity, used):
+        # the range check comes before the root read, even on a full tree,
+        # with ``bits`` in a list (5 slots) and in a bytearray (65 537)
+        tree = BitTree(capacity)
         for _ in range(used):
             tree.allocate()
         before = tree.op_steps
         with pytest.raises(OutOfRange):
-            tree.allocate_with_hint(7)
+            tree.allocate_with_hint(capacity + 2)
         assert tree.op_steps == before
 
 

@@ -8,6 +8,7 @@ import bitfit
 from bitfit import (
     POLICY_KINDS,
     AllocatorError,
+    BitTree,
     DoubleFree,
     Misaligned,
     OutOfRange,
@@ -207,6 +208,37 @@ def test_policy_interchangeability_legality_only():
                 trace.append(type(exc).__name__)
         outcomes.append(trace)
     assert all(t == outcomes[0] for t in outcomes[1:])
+
+
+class TestWhatTheBenchmarkUses:
+    """What ``bench/`` relies on in the package, so that a change here
+    cannot break the benchmark without failing a tier-1 test."""
+
+    def test_scan_byte_pin(self):
+        # bench/child.py pins tail_churn's slots in the scan by writing its
+        # bytes, since pinning them by allocate() takes quadratic time
+        policy = make_policy("linear_bitmap", 64)
+        assert isinstance(policy.leaf_bits, bytearray)
+        policy.leaf_bits[:40] = b"\x01" * 40
+        policy.free_count -= 40
+        assert policy.allocate() == 40
+        assert policy.free_count == policy.leaf_bits.count(0)
+
+    def test_acquire_near_calls_the_class_hint_method(self, monkeypatch):
+        # bench/tracing.py wraps the allocate_with_hint that it finds in
+        # BitTree.__dict__ and skips a name it does not find there, which
+        # would leave tail_churn's hinted call count at 0
+        method = BitTree.__dict__["allocate_with_hint"]
+        hints = []
+
+        def spy(tree, hint):
+            hints.append(hint)
+            return method(tree, hint)
+
+        monkeypatch.setattr(BitTree, "allocate_with_hint", spy)
+        pool = Pool(32, 8, "bitmap")
+        assert pool.acquire_near(96) == 96
+        assert hints == [3]
 
 
 class TestPolicyTable:
