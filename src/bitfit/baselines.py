@@ -3,7 +3,10 @@
 The free lists model the bucketed-arena behavior that randomizes addresses
 over time; the linear bitmap is the brute-force first-fit scan that the
 tree allocator is measured against.  ``tests/oracles.py`` holds each to
-its definition.
+its definition.  One base owns their occupancy map, a byte per slot made
+up front, with its checks and ``release``.  Only the scan shows the map,
+as ``leaf_bits``: ``bench/child.py`` takes a ``bytearray`` of that name
+for the scan's map and pins slots by writing it.
 """
 
 from collections import deque
@@ -11,37 +14,46 @@ from collections import deque
 from .errors import already_free, exhausted, out_of_range
 
 
-class _HintIgnoringPolicy:
-    """Shared by the baselines, which have no locality structure to steer
-    by: a hint is range-checked and then ignored."""
+class _FlatPolicy:
+    """What the flat policies share; ``release`` hands each freed slot to
+    ``_put``.  With no structure to steer by, a hint is only range-checked."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._used = bytearray(capacity)
 
     def allocate_with_hint(self, hint: int) -> int:
         if not 0 <= hint < self.capacity:
             raise out_of_range("hint", hint, self.capacity)
         return self.allocate()
 
+    def release(self, slot: int) -> None:
+        if not 0 <= slot < self.capacity:
+            raise out_of_range("slot", slot, self.capacity)
+        if not self._used[slot]:
+            raise already_free(slot)
+        self._used[slot] = 0
+        self._put(slot)
 
-class FreeListPolicy(_HintIgnoringPolicy):
+
+class FreeListPolicy(_FlatPolicy):
     """Fixed-size free-list allocator, LIFO or FIFO reuse order.
 
     Fresh pools allocate by bumping ``next_fresh`` so first use hands out
     slots in address order; once slots have been returned, the free list
-    takes priority and reuse order depends only on free order.  One
-    occupancy byte per slot, made up front, tells a live slot from a free
-    or never-used one.
+    takes priority and reuse order depends only on free order.
     """
 
     def __init__(self, capacity: int, order: str = "lifo"):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        super().__init__(capacity)
         if order not in ("lifo", "fifo"):
             raise ValueError(f"unknown order {order!r}")
-        self.capacity = capacity
-        self.free_sequence = deque()
+        free = self.free_sequence = deque()
+        self._put = free.append
         # the end of the free list that reuse takes from
-        self._take = (self.free_sequence.pop if order == "lifo"
-                      else self.free_sequence.popleft)
-        self._used = bytearray(capacity)
+        self._take = free.pop if order == "lifo" else free.popleft
         self.next_fresh = 0
 
     @property
@@ -59,16 +71,8 @@ class FreeListPolicy(_HintIgnoringPolicy):
         self._used[slot] = 1
         return slot
 
-    def release(self, slot: int) -> None:
-        if not 0 <= slot < self.capacity:
-            raise out_of_range("slot", slot, self.capacity)
-        if not self._used[slot]:
-            raise already_free(slot)
-        self._used[slot] = 0
-        self.free_sequence.append(slot)
 
-
-class LinearBitmapPolicy(_HintIgnoringPolicy):
+class LinearBitmapPolicy(_FlatPolicy):
     """First-fit over a flat occupancy byte array, scanned left to right.
 
     Worst-case linear per allocation; the tests hold it to first fit with
@@ -76,24 +80,17 @@ class LinearBitmapPolicy(_HintIgnoringPolicy):
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.leaf_bits = bytearray(capacity)
+        super().__init__(capacity)
+        self.leaf_bits = self._used
         self.free_count = capacity
 
     def allocate(self) -> int:
-        slot = self.leaf_bits.find(0)
+        slot = self._used.find(0)
         if slot < 0:
             raise exhausted()
-        self.leaf_bits[slot] = 1
+        self._used[slot] = 1
         self.free_count -= 1
         return slot
 
-    def release(self, slot: int) -> None:
-        if not 0 <= slot < self.capacity:
-            raise out_of_range("slot", slot, self.capacity)
-        if self.leaf_bits[slot] == 0:
-            raise already_free(slot)
-        self.leaf_bits[slot] = 0
+    def _put(self, slot: int) -> None:
         self.free_count += 1

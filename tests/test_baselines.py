@@ -26,6 +26,10 @@ class TestFreeList:
         with pytest.raises(ValueError, match="unknown order 'lilo'"):
             FreeListPolicy(8, "lilo")
 
+    def test_capacity_is_checked_before_order(self):
+        with pytest.raises(ValueError, match="^capacity must be >= 1$"):
+            FreeListPolicy(0, "lilo")
+
     def test_lifo_returns_last_freed_first(self):
         p = FreeListPolicy(8, "lifo")
         for _ in range(3):

@@ -224,6 +224,25 @@ class TestWhatTheBenchmarkUses:
         assert policy.allocate() == 40
         assert policy.free_count == policy.leaf_bits.count(0)
 
+    @pytest.mark.parametrize("kind", ["freelist_lifo", "freelist_fifo"])
+    def test_free_lists_show_no_scan_map(self, kind):
+        # bench/child.py takes any bytearray leaf_bits for the scan's map and
+        # would pin a free list by writing bytes its deque never reads
+        policy = make_policy(kind, 64)
+        assert not isinstance(getattr(policy, "leaf_bits", None), bytearray)
+
+    def test_scan_map_is_the_one_release_and_allocate_use(self):
+        policy = make_policy("linear_bitmap", 8)
+        leaf_bits = policy.leaf_bits
+        assert [policy.allocate() for _ in range(3)] == [0, 1, 2]
+        assert leaf_bits == b"\x01\x01\x01" + bytes(5)
+        policy.release(1)
+        assert leaf_bits == b"\x01\x00\x01" + bytes(5)
+        with pytest.raises(DoubleFree):
+            policy.release(1)
+        assert policy.free_count == leaf_bits.count(0) == 6
+        assert policy.allocate() == 1 and leaf_bits[1] == 1
+
     def test_acquire_near_calls_the_class_hint_method(self, monkeypatch):
         # bench/tracing.py wraps the allocate_with_hint that it finds in
         # BitTree.__dict__ and skips a name it does not find there, which
