@@ -8,6 +8,12 @@ whose root bit is 0 is guaranteed to contain at least one free slot, and
 the root bit alone answers "is the pool full?" in O(1).  Children of node
 ``i`` live at ``2*i + 1`` and ``2*i + 2``.
 
+First fit keeps a floor, ``low``, below which no slot is free.  When the
+floor's own leaf is free it is the lowest free slot, and allocation takes
+it without descending from the root; only when that leaf is used does
+first fit walk down the tree.  A fill, or a refill after a drain, thus
+costs a root read, a leaf read and the climb per slot.
+
 A tree of fewer than 2^17 nodes (at most 65 536 slots) keeps its bits in
 a ``list`` of 0/1 ints, a larger one in a ``bytearray``.  CPython
 specializes ``list[int]`` subscripts, not ``bytearray`` ones, so the same
@@ -38,16 +44,25 @@ class BitTree:
     there on (see the module docstring); both hold the same 0/1 values in
     the same level order.
 
+    ``low`` is first fit's floor: no slot below it is free, so the first
+    fit is ``low`` itself when that slot is free.  First fit sets it one
+    past the slot it returns, ``release`` lowers it to the freed slot when
+    that lies below, and a hinted allocation leaves it, since marking a
+    slot used keeps every slot below the floor used.  It never exceeds
+    ``capacity``.
+
     ``op_steps`` counts tree steps: one step is one read or one write of
     an element of ``bits``, whichever container holds them.  ``allocate``
     (hinted or not) and ``release`` count every such access they make,
     including the root or leaf read that ends in ``PoolExhausted`` or
     ``DoubleFree``; tests use the per-operation delta to verify the
-    logarithmic step bound.  Range checks touch no bit and count nothing,
+    logarithmic step bound.  First fit's read of the floor's leaf counts
+    like any other access, so a hit costs fewer steps than a descent and
+    a miss one more.  Range checks touch no bit and count nothing,
     and neither does the read-only observer ``check_integrity``.
     """
 
-    __slots__ = ("capacity", "n_leaves", "bits", "free_count", "op_steps")
+    __slots__ = ("capacity", "n_leaves", "bits", "free_count", "low", "op_steps")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -58,6 +73,7 @@ class BitTree:
         # list subscripts are faster but cost 8 B/node: lists up to 1 MiB only
         self.bits = bits = [0] * nodes if nodes < 1 << 17 else bytearray(nodes)
         self.free_count = capacity
+        self.low = 0
         self.op_steps = 0
         # On a fresh tree a node is 1 exactly when its whole subtree is
         # phantom padding; on each level those nodes form a suffix.  Once
@@ -73,10 +89,14 @@ class BitTree:
     #
     # The operations index ``bits`` directly and tally their steps in a
     # local, added to ``op_steps`` once per call.  Allocation is one
-    # routine: the hint's range check, one read of the root, a descent to
-    # a free leaf, which a hint only steers, then one shared tail that
-    # sets the leaf and climbs.  The descent reads one bit per level, so
-    # it costs ``depth`` steps.  Every node it passes through was 0, so
+    # routine: the hint's range check, one read of the root, the choice of
+    # a free leaf, then one shared tail that sets the leaf and climbs.
+    # First fit reads the leaf of its floor ``low`` and takes it when it
+    # is free; a free root guarantees a free slot at or above ``low``, so
+    # that leaf is real.  When it is used, first fit descends from the
+    # root, as a hinted allocation always does, with the hint only
+    # steering.  The descent reads one bit per level, so it costs
+    # ``depth`` steps.  Every node it passes through was 0, so
     # after the leaf is set an ancestor turns 1 exactly while the sibling
     # below it is 1: the climb reads one sibling per level and stops at
     # the first free one.
@@ -97,10 +117,12 @@ class BitTree:
 
         A hint out of range is refused first, before any bit is read; then
         one read of the root raises ``PoolExhausted`` on a full tree; then
-        the descent picks the slot.  Without a hint this is the
-        lowest-index free slot.  With one, the descent follows the hint
-        leaf's ancestors down from the root while they have a free slot; at
-        the first full one it takes the free sibling and then steers toward
+        the slot is picked.  Without a hint this is the lowest-index free
+        slot: the floor ``low`` when its leaf is free, else the end of a
+        leftmost descent from the root; either way ``low`` then moves one
+        past the slot.  With a hint, the descent follows the hint leaf's
+        ancestors down from the root while they have a free slot; at the
+        first full one it takes the free sibling and then steers toward
         the hint at every remaining level (the rightmost free leaf when the
         hint lies to the right, else the leftmost).  The result is the hint
         itself when free, and otherwise always falls inside the smallest
@@ -115,8 +137,14 @@ class BitTree:
             raise exhausted()
         base = self.n_leaves - 1
         steps = 2 + base.bit_length()  # root read, one read per level, leaf write
-        idx = 0
-        if hint is not None:
+        if hint is None:
+            idx = base + self.low
+            if bits[idx]:  # used: descend from the root
+                idx = 0
+                steps += 1
+            else:  # free, so it is the first fit: no descent
+                steps = 3  # root read, leaf read, leaf write
+        else:
             leaf = base + 1 + hint
             idx = leaf - 1  # where the walk ends when the hint itself is free
             level = steps - 2  # the depth of the hint leaf
@@ -139,6 +167,8 @@ class BitTree:
         bits[idx] = 1
         self.free_count -= 1
         slot = idx - base
+        if hint is None:
+            self.low = slot + 1
         while idx:
             if not bits[((idx - 1) ^ 1) + 1]:
                 steps += 1
@@ -153,7 +183,8 @@ class BitTree:
     allocate_with_hint = allocate
 
     def release(self, slot: int) -> None:
-        """Mark ``slot`` free and clear ancestor bits until one is already 0."""
+        """Mark ``slot`` free and clear ancestor bits until one is already 0;
+        lower the floor ``low`` to ``slot`` when it lies below."""
         if not 0 <= slot < self.capacity:
             raise out_of_range("slot", slot, self.capacity)
         bits = self.bits
@@ -163,6 +194,8 @@ class BitTree:
             raise already_free(slot)
         bits[idx] = 0
         self.free_count += 1
+        if slot < self.low:
+            self.low = slot
         steps = 2
         while idx:
             idx = (idx - 1) >> 1
@@ -174,8 +207,9 @@ class BitTree:
         self.op_steps += steps
 
     def check_integrity(self) -> bool:
-        """Verify the AND invariant, phantom padding, and the free count;
-        the tests hold it to ``tests/oracles.rebuild_internal``."""
+        """Verify the AND invariant, phantom padding, the free count and
+        that no slot below ``low`` is free; the tests hold it to
+        ``tests/oracles.rebuild_internal``."""
         bits, capacity = self.bits, self.capacity
         base = self.n_leaves - 1
         # whole rows, compared in C: the internal row ``bits[:base]`` against
@@ -184,4 +218,5 @@ class BitTree:
         # counted over slices, since ``list.count`` takes no bounds
         return (int.from_bytes(bits[:base], "big") == children
                 and bits[base + capacity:].count(1) == self.n_leaves - capacity
-                and bits[base:base + capacity].count(0) == self.free_count)
+                and bits[base:base + capacity].count(0) == self.free_count
+                and 0 not in bits[base:base + self.low])

@@ -239,6 +239,9 @@ def cmd_demo(args) -> int:
     print("8-slot occupancy tree: 15 bits, root at index 0, "
           "children of i at 2i+1 and 2i+2, leaves at indices 7..14.\n")
 
+    # [1] prints the paper's descent from the root.  ``BitTree`` descends
+    # only when the leaf of its first-fit floor ``low`` is used; on a fresh
+    # tree it reads leaf 7 (``low`` = 0) directly, for the same slot and bits.
     tree = BitTree(8)
     print("[1] first allocation on a fresh tree")
     print(_bit_rows("before:", tree))

@@ -209,9 +209,19 @@ class TestObservers:
         tree.free_count = 7
         assert not tree.check_integrity()
 
+    @pytest.mark.parametrize("capacity", [8, 65537], ids=["list", "bytearray"])
+    def test_floor_past_a_free_slot_detected(self, capacity):
+        # slots 0 and 1 used, 2 free: ``low`` may be 2, not 3
+        tree = BitTree(capacity)
+        tree.allocate()
+        tree.allocate()
+        assert tree.low == 2 and tree.check_integrity()
+        tree.low = 3
+        assert not tree.check_integrity()
+
     @given(capacity=st.integers(1, 70), seed=st.integers(0, 2 ** 32),
            n_ops=st.integers(0, 150), pick=st.integers(0, 2 ** 30),
-           row=st.sampled_from(["internal", "real", "phantom", None]),
+           row=st.sampled_from(["internal", "real", "phantom", "floor", None]),
            value=st.sampled_from([0, 1, 2, 255]), storage=st.sampled_from(STORAGES))
     @settings(max_examples=300, deadline=None)
     def test_integrity_is_the_invariant(self, capacity, seed, n_ops, pick, row, value,
@@ -221,19 +231,24 @@ class TestObservers:
         for _ in run_ops(tree, random.Random(seed), n_ops, use_hints=True):
             pass
         # set one byte of a row to ``value`` (a row the tree lacks stays
-        # intact), or with no row shift the free count by one
+        # intact), move the floor ``low`` anywhere in [0, capacity], or with
+        # no row shift the free count by one
         base = tree.n_leaves - 1
         rows = {"internal": range(base), "real": range(base, base + capacity),
-                "phantom": range(base + capacity, len(tree.bits)), None: ()}
+                "phantom": range(base + capacity, len(tree.bits)), "floor": (),
+                None: ()}
         if rows[row]:
             tree.bits[rows[row][pick % len(rows[row])]] = value
+        elif row == "floor":
+            tree.low = pick % (capacity + 1)
         elif row is None:
             tree.free_count += 1 if pick % 2 else -1
         leaves = leaves_of(tree)
         assert tree.check_integrity() == (
             list(tree.bits) == rebuild_internal(leaves)
             and leaves[capacity:] == [1] * (tree.n_leaves - capacity)
-            and leaves[:capacity].count(0) == tree.free_count)
+            and leaves[:capacity].count(0) == tree.free_count
+            and 0 not in leaves[:tree.low])
 
 
 def run_ops(tree, rng, n_ops, use_hints=False):
@@ -308,11 +323,16 @@ def test_hint_locality_and_determinism(capacity, choices, hint_pick):
         copy.free_count = tree.free_count
         return copy
 
-    # hint 0 steers left at every level, which is the first-fit descent
+    # hint 0 steers left at every level, which is the first-fit descent.
+    # A twin's ``low`` is 0: when slot 0 is free, first fit reads it and
+    # skips the ``depth`` reads of the descent; when it is used, first fit
+    # pays that read and then descends as hint 0 does.
     first_fit, hint_zero, same_hint = twin(), twin(), twin()
     assert first_fit.allocate() == hint_zero.allocate_with_hint(0)
     assert first_fit.bits == hint_zero.bits
-    assert first_fit.op_steps == hint_zero.op_steps
+    depth = (first_fit.n_leaves - 1).bit_length()
+    saved = depth - 1 if leaves[0] == 0 else -1
+    assert hint_zero.op_steps - first_fit.op_steps == saved
     got = tree.allocate_with_hint(hint)
     assert got == same_hint.allocate_with_hint(hint)  # pure function of state
     assert got == greedy_hint_reference(leaves, hint)
@@ -448,10 +468,20 @@ def test_op_steps_equals_bit_accesses(capacity):
 
 
 def test_worked_example_step_counts():
-    # root read, reads of bits 1, 3, 7, write of leaf 7, read of sibling 8 (free)
+    # root read, read of leaf 7 (``low`` is 0, and it is free), write of
+    # leaf 7, read of sibling 8 (free)
     tree = BitTree(8)
     tree.allocate()
-    assert tree.op_steps == 6
+    assert tree.op_steps == 4
+
+    # a hint took slot 0, ``low``'s slot, so first fit misses: root read,
+    # read of leaf 7 (used), reads of bits 1, 3, 7, write of leaf 8, read
+    # of sibling 7 (used), write of bit 3, read of sibling 4 (free)
+    tree = BitTree(8)
+    assert tree.allocate_with_hint(0) == 0
+    before = tree.op_steps
+    assert tree.allocate() == 1
+    assert tree.op_steps - before == 9
 
     # read and write leaf 12, read and clear bit 5, read bit 2 (already 0)
     tree = BitTree(8)
@@ -471,6 +501,83 @@ def test_worked_example_step_counts():
     before = tree.op_steps
     assert tree.allocate_with_hint(4) == 3
     assert tree.op_steps - before == 6
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 65536, 65537])
+class TestFirstFitFloor:
+    """Every way ``low`` moves, on both sides of the storage cut: first
+    fit stays the leftmost free slot and ``low`` its lower bound."""
+
+    def first_fit(self, tree):
+        expected = leftmost_free(leaves_of(tree))
+        assert tree.allocate() == expected
+        assert tree.low == expected + 1 and tree.check_integrity()
+        return expected
+
+    def test_hint_takes_the_floor(self, capacity):
+        tree = BitTree(capacity)
+        half = capacity // 2
+        for _ in range(half):
+            tree.allocate()
+        assert tree.low == half
+        assert tree.allocate_with_hint(half) == half  # hints leave ``low``
+        assert tree.low == half and tree.check_integrity()
+        if half + 1 == capacity:
+            with pytest.raises(PoolExhausted):
+                tree.allocate()
+        else:
+            assert self.first_fit(tree) == half + 1  # a miss
+
+    def test_releases_below_and_above_the_floor(self, capacity):
+        tree = BitTree(capacity)
+        for _ in range(capacity):
+            tree.allocate()
+        mid, top = capacity // 2, capacity - 1
+        tree.release(mid)
+        assert tree.low == mid
+        if top > mid:
+            tree.release(top)  # above ``low``: it stays
+            assert tree.low == mid
+        if mid > 0:
+            tree.release(0)  # below ``low``: it drops
+            assert tree.low == 0
+        assert [self.first_fit(tree) for _ in range(tree.free_count)] == sorted(
+            {0, mid, top})
+
+    def test_run_to_exhaustion(self, capacity):
+        tree = BitTree(capacity)
+        assert [tree.allocate() for _ in range(capacity)] == list(range(capacity))
+        assert tree.low == capacity and tree.check_integrity()
+        before = tree.op_steps
+        with pytest.raises(PoolExhausted):
+            tree.allocate()
+        assert tree.op_steps - before == 1  # the root read, before ``low``'s leaf
+        assert tree.low == capacity
+
+    def test_drain_and_refill(self, capacity):
+        tree = BitTree(capacity)
+        fresh = list(tree.bits)
+        for _ in range(capacity):
+            tree.allocate()
+        order = list(range(capacity))
+        random.Random(capacity).shuffle(order)
+        for slot in order:
+            tree.release(slot)
+        assert list(tree.bits) == fresh and tree.low == 0
+        head = [self.first_fit(tree) for _ in range(min(3, capacity))]
+        rest = [tree.allocate() for _ in range(capacity - len(head))]
+        assert head + rest == list(range(capacity))
+        assert tree.check_integrity()
+
+
+def test_sequential_fill_skips_the_descent():
+    # about 6 steps per slot: root read, ``low``'s leaf read and write, and
+    # the climb (2 per level it rises, plus 1); descending from the root
+    # instead would cost 16 more per slot, 1 441 843 in all
+    tree = BitTree(65537)
+    for _ in range(65537):
+        tree.allocate()
+    assert tree.op_steps == 393_251
 
 
 @pytest.mark.parametrize("capacity", [1, 5, 100, 4097, 65536, 65537])
