@@ -91,15 +91,16 @@ class BitTree:
     # local, added to ``op_steps`` once per call.  Allocation is one
     # routine: the hint's range check, one read of the root, the choice of
     # a free leaf, then one shared tail that sets the leaf and climbs.
-    # First fit reads the leaf of its floor ``low`` and takes it when it
-    # is free; a free root guarantees a free slot at or above ``low``, so
-    # that leaf is real.  When it is used, first fit descends from the
-    # root, as a hinted allocation always does, with the hint only
-    # steering.  The descent reads one bit per level, so it costs
-    # ``depth`` steps.  Every node it passes through was 0, so
-    # after the leaf is set an ancestor turns 1 exactly while the sibling
-    # below it is 1: the climb reads one sibling per level and stops at
-    # the first free one.
+    # Each path counts its own steps before the climb.  First fit reads
+    # the leaf of its floor ``low`` and, when it is free, takes it for 3:
+    # root read, leaf read, leaf write.  A free root guarantees a free
+    # slot at or above ``low``, so that leaf is real.  When it is used,
+    # first fit descends from the root, one read per level, for
+    # ``3 + depth``; a hinted allocation always descends, the hint only
+    # steering, for ``2 + depth``.  Every node the descent passes through
+    # was 0, so after the leaf is set an ancestor turns 1 exactly while
+    # the sibling below it is 1: the climb reads one sibling per level
+    # and stops at the first free one.
     # ``((i - 1) ^ 1) + 1`` is the sibling of node ``i``.
     #
     # A hinted descent walks the hint leaf's ancestors.  Numbered from 1
@@ -136,18 +137,18 @@ class BitTree:
             self.op_steps += 1
             raise exhausted()
         base = self.n_leaves - 1
-        steps = 2 + base.bit_length()  # root read, one read per level, leaf write
         if hint is None:
             idx = base + self.low
             if bits[idx]:  # used: descend from the root
                 idx = 0
-                steps += 1
+                steps = 3 + base.bit_length()  # as a hit, plus the descent
             else:  # free, so it is the first fit: no descent
                 steps = 3  # root read, leaf read, leaf write
         else:
             leaf = base + 1 + hint
             idx = leaf - 1  # where the walk ends when the hint itself is free
-            level = steps - 2  # the depth of the hint leaf
+            level = base.bit_length()  # the depth of the hint leaf
+            steps = 2 + level  # root read, one read per level, leaf write
             while level:
                 level -= 1
                 node = leaf >> level

@@ -54,8 +54,12 @@ class Pool:
     def acquire(self) -> int:
         return self.policy.allocate() * self.slot_size
 
-    # acquire_near and release turn the offset into a slot inline, so a
-    # valid offset costs no call
+    def _slot(self, offset: int) -> int:
+        """Map byte ``offset`` to its slot, raising Misaligned or OutOfRange."""
+        slot, rem = divmod(offset, self.slot_size)
+        if rem or not 0 <= slot < self.capacity:
+            raise bad_offset(offset, self.slot_size, self.capacity)
+        return slot
 
     def acquire_near(self, hint: int) -> int:
         """Allocate near the slot at byte offset ``hint``.
@@ -63,13 +67,7 @@ class Pool:
         Only the bitmap policy honors the hint; the other policies fall
         back to their plain allocation order.
         """
-        slot, rem = divmod(hint, self.slot_size)
-        if rem or not 0 <= slot < self.capacity:
-            raise bad_offset(hint, self.slot_size, self.capacity)
-        return self.policy.allocate_with_hint(slot) * self.slot_size
+        return self.policy.allocate_with_hint(self._slot(hint)) * self.slot_size
 
     def release(self, offset: int) -> None:
-        slot, rem = divmod(offset, self.slot_size)
-        if rem or not 0 <= slot < self.capacity:
-            raise bad_offset(offset, self.slot_size, self.capacity)
-        self.policy.release(slot)
+        self.policy.release(self._slot(offset))

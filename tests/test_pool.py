@@ -151,6 +151,15 @@ def test_only_errors_builds_allocator_faults():
     assert built == {"errors.py": faults}
 
 
+def test_pool_checks_an_offset_in_one_place():
+    # acquire_near and release share one offset check, not a copy each
+    tree = ast.parse((Path(bitfit.__file__).parent / "pool.py").read_text("utf-8"))
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", ""))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls.count("divmod") == 1
+    assert calls.count("bad_offset") == 1
+
+
 def test_only_cli_writes_output():
     # cli renders; every other module returns what it computes
     streams = {"stdout", "stderr"}
@@ -258,6 +267,26 @@ class TestWhatTheBenchmarkUses:
         pool = Pool(32, 8, "bitmap")
         assert pool.acquire_near(96) == 96
         assert hints == [3]
+
+    def test_pool_methods_are_the_class_ones_called(self, monkeypatch):
+        # bench/tracing.py counts pool.calls by wrapping the acquire,
+        # acquire_near and release that it finds in Pool.__dict__, so each
+        # must stay there and be what a call runs
+        seen = []
+        for name in ("acquire", "acquire_near", "release"):
+            method = Pool.__dict__[name]
+
+            def spy(pool, *args, name=name, method=method):
+                seen.append((name, args))
+                return method(pool, *args)
+
+            monkeypatch.setattr(Pool, name, spy)
+        pool = Pool(32, 8, "bitmap")
+        assert pool.acquire() == 0
+        assert pool.acquire_near(96) == 96
+        pool.release(0)
+        assert seen == [("acquire", ()), ("acquire_near", (96,)),
+                        ("release", (0,))]
 
 
 class TestPolicyTable:
