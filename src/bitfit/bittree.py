@@ -51,6 +51,10 @@ class BitTree:
     slot used keeps every slot below the floor used.  It never exceeds
     ``capacity``.
 
+    Occupancy lives only in ``bits``: ``free_count`` is counted from the
+    leaf row each time it is read, in C, at O(capacity), and counts no
+    step.
+
     ``op_steps`` counts tree steps: one step is one read or one write of
     an element of ``bits``, whichever container holds them.  ``allocate``
     (hinted or not) and ``release`` count every such access they make,
@@ -62,7 +66,7 @@ class BitTree:
     and neither does the read-only observer ``check_integrity``.
     """
 
-    __slots__ = ("capacity", "n_leaves", "bits", "free_count", "low", "op_steps")
+    __slots__ = ("capacity", "n_leaves", "bits", "low", "op_steps")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -72,7 +76,6 @@ class BitTree:
         nodes = 2 * self.n_leaves - 1
         # list subscripts are faster but cost 8 B/node: lists up to 1 MiB only
         self.bits = bits = [0] * nodes if nodes < 1 << 17 else bytearray(nodes)
-        self.free_count = capacity
         self.low = 0
         self.op_steps = 0
         # On a fresh tree a node is 1 exactly when its whole subtree is
@@ -166,7 +169,6 @@ class BitTree:
             # parent bit is 0, so if the left child is full (1) the right is free
             idx += bits[idx]
         bits[idx] = 1
-        self.free_count -= 1
         slot = idx - base
         if hint is None:
             self.low = slot + 1
@@ -194,7 +196,6 @@ class BitTree:
             self.op_steps += 1
             raise already_free(slot)
         bits[idx] = 0
-        self.free_count += 1
         if slot < self.low:
             self.low = slot
         steps = 2
@@ -207,9 +208,15 @@ class BitTree:
             steps += 2
         self.op_steps += steps
 
+    @property
+    def free_count(self) -> int:
+        """The number of free slots: the zero leaves among the real ones."""
+        base = self.n_leaves - 1
+        return self.bits[base:base + self.capacity].count(0)
+
     def check_integrity(self) -> bool:
-        """Verify the AND invariant, phantom padding, the free count and
-        that no slot below ``low`` is free; the tests hold it to
+        """Verify the AND invariant, phantom padding and that no slot below
+        ``low`` is free; the tests hold it to
         ``tests/oracles.rebuild_internal``."""
         bits, capacity = self.bits, self.capacity
         base = self.n_leaves - 1
@@ -219,5 +226,4 @@ class BitTree:
         # counted over slices, since ``list.count`` takes no bounds
         return (int.from_bytes(bits[:base], "big") == children
                 and bits[base + capacity:].count(1) == self.n_leaves - capacity
-                and bits[base:base + capacity].count(0) == self.free_count
                 and 0 not in bits[base:base + self.low])

@@ -14,6 +14,7 @@ from .errors import bad_offset
 
 # one constructor per policy kind, called with the capacity; a policy has
 # capacity, free_count, allocate(), allocate_with_hint(slot) and release(slot).
+# free_count may be stored or derived from the occupancy on each read.
 # The flat kinds share one base's occupancy map, checks and release; only the
 # scan shows the map, as leaf_bits, the name bench/child.py pins it by
 POLICIES = {
@@ -49,6 +50,7 @@ class Pool:
 
     @property
     def free_count(self) -> int:
+        """The number of free slots, as the policy counts them."""
         return self.policy.free_count
 
     def acquire(self) -> int:

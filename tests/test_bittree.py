@@ -204,10 +204,16 @@ class TestObservers:
             tree.bits[3] = 1
             assert not tree.check_integrity()
 
-    def test_wrong_free_count_detected(self):
-        tree = BitTree(8)
-        tree.free_count = 7
-        assert not tree.check_integrity()
+    def test_free_count_is_read_from_the_leaves(self):
+        # leaves written straight into ``bits``, bypassing allocate and
+        # release: the count follows them, and reading it takes no step
+        for storage in STORAGES:
+            tree = BitTree(6)
+            leaves = [1, 0, 0, 1, 1, 0] + [1] * (tree.n_leaves - 6)
+            tree.bits = storage(rebuild_internal(leaves))
+            before = tree.op_steps
+            assert tree.free_count == leaves[:6].count(0) == 3
+            assert tree.op_steps == before
 
     @pytest.mark.parametrize("capacity", [8, 65537], ids=["list", "bytearray"])
     def test_floor_past_a_free_slot_detected(self, capacity):
@@ -231,8 +237,8 @@ class TestObservers:
         for _ in run_ops(tree, random.Random(seed), n_ops, use_hints=True):
             pass
         # set one byte of a row to ``value`` (a row the tree lacks stays
-        # intact), move the floor ``low`` anywhere in [0, capacity], or with
-        # no row shift the free count by one
+        # intact), or move the floor ``low`` anywhere in [0, capacity]; no
+        # row means no mutation
         base = tree.n_leaves - 1
         rows = {"internal": range(base), "real": range(base, base + capacity),
                 "phantom": range(base + capacity, len(tree.bits)), "floor": (),
@@ -241,13 +247,10 @@ class TestObservers:
             tree.bits[rows[row][pick % len(rows[row])]] = value
         elif row == "floor":
             tree.low = pick % (capacity + 1)
-        elif row is None:
-            tree.free_count += 1 if pick % 2 else -1
         leaves = leaves_of(tree)
         assert tree.check_integrity() == (
             list(tree.bits) == rebuild_internal(leaves)
             and leaves[capacity:] == [1] * (tree.n_leaves - capacity)
-            and leaves[:capacity].count(0) == tree.free_count
             and 0 not in leaves[:tree.low])
 
 
@@ -320,7 +323,6 @@ def test_hint_locality_and_determinism(capacity, choices, hint_pick):
     def twin():
         copy = BitTree(capacity)
         copy.bits[:] = tree.bits
-        copy.free_count = tree.free_count
         return copy
 
     # hint 0 steers left at every level, which is the first-fit descent.
@@ -353,7 +355,6 @@ def tree_with_leaves(capacity, runs):
     leaves = [pattern[s % len(pattern)] for s in range(capacity)]
     leaves += [1] * (tree.n_leaves - capacity)
     tree.bits[:] = bytes(rebuild_internal(leaves))
-    tree.free_count = leaves.count(0)
     return tree
 
 
