@@ -6,7 +6,9 @@ tree allocator is measured against.  ``tests/oracles.py`` holds each to
 its definition.  One base owns their occupancy map, a byte per slot made
 up front, with its checks and ``release``.  Only the scan shows the map,
 as ``leaf_bits``: ``bench/child.py`` takes a ``bytearray`` of that name
-for the scan's map and pins slots by writing it.
+for the scan's map and pins slots by writing it.  A free count is not part
+of the policy contract; the scan alone keeps one, ``free_count``, because
+``bench/child.py`` lowers it by the slots it pins.
 """
 
 from collections import deque
@@ -55,10 +57,6 @@ class FreeListPolicy(_FlatPolicy):
         # the end of the free list that reuse takes from
         self._take = free.pop if order == "lifo" else free.popleft
         self.next_fresh = 0
-
-    @property
-    def free_count(self) -> int:
-        return self.capacity - self.next_fresh + len(self.free_sequence)
 
     def allocate(self) -> int:
         if self.free_sequence:

@@ -51,10 +51,6 @@ class BitTree:
     slot used keeps every slot below the floor used.  It never exceeds
     ``capacity``.
 
-    Occupancy lives only in ``bits``: ``free_count`` is counted from the
-    leaf row each time it is read, in C, at O(capacity), and counts no
-    step.
-
     ``op_steps`` counts tree steps: one step is one read or one write of
     an element of ``bits``, whichever container holds them.  ``allocate``
     (hinted or not) and ``release`` count every such access they make,
@@ -207,12 +203,6 @@ class BitTree:
             bits[idx] = 0
             steps += 2
         self.op_steps += steps
-
-    @property
-    def free_count(self) -> int:
-        """The number of free slots: the zero leaves among the real ones."""
-        base = self.n_leaves - 1
-        return self.bits[base:base + self.capacity].count(0)
 
     def check_integrity(self) -> bool:
         """Verify the AND invariant, phantom padding and that no slot below

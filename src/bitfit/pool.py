@@ -13,8 +13,7 @@ from .bittree import BitTree
 from .errors import bad_offset
 
 # one constructor per policy kind, called with the capacity; a policy has
-# capacity, free_count, allocate(), allocate_with_hint(slot) and release(slot).
-# free_count may be stored or derived from the occupancy on each read.
+# capacity, allocate(), allocate_with_hint(slot) and release(slot).
 # The flat kinds share one base's occupancy map, checks and release; only the
 # scan shows the map, as leaf_bits, the name bench/child.py pins it by
 POLICIES = {
@@ -47,11 +46,6 @@ class Pool:
         self.slot_size = slot_size
         self.capacity = capacity
         self.policy = make_policy(policy_kind, capacity)
-
-    @property
-    def free_count(self) -> int:
-        """The number of free slots, as the policy counts them."""
-        return self.policy.free_count
 
     def acquire(self) -> int:
         return self.policy.allocate() * self.slot_size

@@ -208,5 +208,5 @@ def run_random_churn(policy_kind: str, capacity: int, target_fill: float,
             live[k] = pool.acquire()
         else:
             pool.release(live.pop(k))
-    batch = [pool.acquire() for _ in range(pool.free_count)]
+    batch = [pool.acquire() for _ in range(capacity - len(live))]
     return measure(batch, slot_size, line_size)

@@ -13,7 +13,7 @@ from bitfit import (
     PoolExhausted,
 )
 
-from oracles import leftmost_free
+from oracles import leaves_of, leftmost_free
 
 
 class TestFreeList:
@@ -136,7 +136,7 @@ def test_tree_matches_linear_oracle_on_random_sequences(seed):
             tree.release(victim)
             lin.release(victim)
         else:
-            if tree.free_count == 0:
+            if leaves_of(tree).count(0) == 0:
                 with pytest.raises(PoolExhausted):
                     tree.allocate()
                 with pytest.raises(PoolExhausted):
@@ -146,4 +146,4 @@ def test_tree_matches_linear_oracle_on_random_sequences(seed):
             a, b = tree.allocate(), lin.allocate()
             assert a == b == expected
             live.append(a)
-    assert tree.free_count == lin.free_count
+    assert leaves_of(tree).count(0) == lin.free_count

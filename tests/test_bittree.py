@@ -35,13 +35,13 @@ class TestNew:
         tree = BitTree(8)
         assert len(tree.bits) == 15
         assert all(bit == 0 for bit in tree.bits)
-        assert tree.free_count == 8
+        assert leaves_of(tree).count(0) == 8
 
     def test_single_slot_tree_is_one_bit(self):
         tree = BitTree(1)
         assert len(tree.bits) == 1
         assert tree.bits[0] == 0
-        assert tree.free_count == 1
+        assert leaves_of(tree).count(0) == 1
 
     @pytest.mark.parametrize("capacity", PADDED_CAPACITIES)
     def test_capacity_pads_with_phantom_leaves(self, capacity):
@@ -51,7 +51,7 @@ class TestNew:
         assert list(tree.bits[base:base + capacity]) == [0] * capacity
         assert list(tree.bits[base + capacity:]) == [1] * (tree.n_leaves - capacity)
         assert tree.bits[0] == 0
-        assert tree.free_count == capacity
+        assert leaves_of(tree).count(0) == capacity
         assert list(tree.bits) == rebuild_internal(leaves_of(tree))
 
     def test_storage_follows_the_size(self):
@@ -79,7 +79,7 @@ class TestAllocate:
         tree = BitTree(8)
         assert tree.allocate() == 0
         assert tree.bits[7] == 1
-        assert tree.free_count == 7
+        assert leaves_of(tree).count(0) == 7
 
     def test_second_allocate_matches_leftmost_scan(self):
         tree = BitTree(8)
@@ -117,7 +117,7 @@ class TestRelease:
         after[12] = 0
         after[5] = 0
         assert list(tree.bits) == after
-        assert tree.free_count == 3
+        assert leaves_of(tree).count(0) == 3
 
     def test_allocate_release_allocate_round_trip(self):
         tree = BitTree(8)
@@ -204,17 +204,6 @@ class TestObservers:
             tree.bits[3] = 1
             assert not tree.check_integrity()
 
-    def test_free_count_is_read_from_the_leaves(self):
-        # leaves written straight into ``bits``, bypassing allocate and
-        # release: the count follows them, and reading it takes no step
-        for storage in STORAGES:
-            tree = BitTree(6)
-            leaves = [1, 0, 0, 1, 1, 0] + [1] * (tree.n_leaves - 6)
-            tree.bits = storage(rebuild_internal(leaves))
-            before = tree.op_steps
-            assert tree.free_count == leaves[:6].count(0) == 3
-            assert tree.op_steps == before
-
     @pytest.mark.parametrize("capacity", [8, 65537], ids=["list", "bytearray"])
     def test_floor_past_a_free_slot_detected(self, capacity):
         # slots 0 and 1 used, 2 free: ``low`` may be 2, not 3
@@ -258,11 +247,11 @@ def run_ops(tree, rng, n_ops, use_hints=False):
     """Random alloc/free mix; yields after every operation."""
     live = []
     for _ in range(n_ops):
-        if live and (rng.random() < 0.5 or tree.free_count == 0):
+        if live and (rng.random() < 0.5 or leaves_of(tree).count(0) == 0):
             victim = live.pop(rng.randrange(len(live)))
             tree.release(victim)
         else:
-            if tree.free_count == 0:
+            if leaves_of(tree).count(0) == 0:
                 continue
             if use_hints and live and rng.random() < 0.5:
                 live.append(tree.allocate_with_hint(rng.choice(live)))
@@ -311,7 +300,7 @@ def test_hint_locality_and_determinism(capacity, choices, hint_pick):
     for choice in choices:
         if live and choice % 2:
             tree.release(live.pop(choice % len(live)))
-        elif tree.free_count:
+        elif leaves_of(tree).count(0):
             live.append(tree.allocate())
     hint = hint_pick % capacity
     leaves = leaves_of(tree)
@@ -403,7 +392,7 @@ def test_full_then_drain_restores_fresh_state():
     for s in slots:
         tree.release(s)
     assert bytes(tree.bits) == fresh
-    assert tree.free_count == 13
+    assert leaves_of(tree).count(0) == 13
 
 
 class CountingBits(bytearray):
@@ -458,7 +447,7 @@ def test_op_steps_equals_bit_accesses(capacity):
             counted(tree.release, slot)  # double free
             continue
         if slot is None:
-            assert tree.free_count == 0
+            assert leaves_of(tree).count(0) == 0
         else:
             live.append(slot)
             if slot in freed:
@@ -542,8 +531,8 @@ class TestFirstFitFloor:
         if mid > 0:
             tree.release(0)  # below ``low``: it drops
             assert tree.low == 0
-        assert [self.first_fit(tree) for _ in range(tree.free_count)] == sorted(
-            {0, mid, top})
+        free = leaves_of(tree).count(0)
+        assert [self.first_fit(tree) for _ in range(free)] == sorted({0, mid, top})
 
     def test_run_to_exhaustion(self, capacity):
         tree = BitTree(capacity)

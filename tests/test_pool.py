@@ -223,6 +223,14 @@ class TestWhatTheBenchmarkUses:
     """What ``bench/`` relies on in the package, so that a change here
     cannot break the benchmark without failing a tier-1 test."""
 
+    def test_only_the_scan_keeps_a_free_count(self):
+        # a free count is not part of the policy contract: bench/child.py
+        # lowers the scan's own counter as it pins, and nothing else reads one
+        kept = [kind for kind in POLICY_KINDS
+                if hasattr(make_policy(kind, 8), "free_count")]
+        assert kept == ["linear_bitmap"]
+        assert not hasattr(Pool(32, 8), "free_count")
+
     def test_scan_byte_pin(self):
         # bench/child.py pins tail_churn's slots in the scan by writing its
         # bytes, since pinning them by allocate() takes quadratic time

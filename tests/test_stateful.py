@@ -140,8 +140,6 @@ class PoolsAgainstOracles(RuleBasedStateMachine):
     @invariant()
     def consistent(self):
         assert self.pools["bitmap"].policy.check_integrity()
-        for kind, pool in self.pools.items():
-            assert pool.free_count == self.capacity - len(self.live[kind]), kind
 
 
 TestPoolsAgainstOracles = PoolsAgainstOracles.TestCase
