@@ -56,11 +56,7 @@ class TraceError(Exception):
 
 
 class TraceSyntaxError(TraceError):
-    """Line does not match the trace grammar.  Raised by ``parse_trace``,
-    it carries in ``events`` the events of the lines before the bad one;
-    built anywhere else, ``events`` is ``()``."""
-
-    events = ()
+    """Line does not match the trace grammar."""
 
 
 class UnknownId(TraceError):

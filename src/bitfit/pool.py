@@ -7,6 +7,7 @@ a zero base are the public currency.
 """
 
 from functools import partial
+from operator import index
 
 from .baselines import FreeListPolicy, LinearBitmapPolicy
 from .bittree import BitTree
@@ -29,6 +30,8 @@ def make_policy(kind: str, capacity: int):
     constructor = POLICIES.get(kind)
     if constructor is None:
         raise ValueError(f"unknown policy kind {kind!r}")
+    # an int-like size, never a float, so that every slot is an int
+    capacity = index(capacity)
     try:
         # every policy makes its O(capacity) storage here, so this is the
         # one place a pool too large for memory, or past the index range,
@@ -41,11 +44,12 @@ def make_policy(kind: str, capacity: int):
 
 class Pool:
     def __init__(self, slot_size: int, capacity: int, policy_kind: str = "bitmap"):
+        slot_size = index(slot_size)
         if slot_size < 1:
             raise ValueError("slot_size must be >= 1")
         self.slot_size = slot_size
-        self.capacity = capacity
         self.policy = make_policy(policy_kind, capacity)
+        self.capacity = self.policy.capacity
 
     def acquire(self) -> int:
         return self.policy.allocate() * self.slot_size

@@ -22,9 +22,7 @@ to block.  Memory is bounded by the live ids, one block and the text
 since the last ``"\n"`` or ``"\r"``, not by the length of the trace; a
 line ended by a rarer break (``"\v"``, ``"\f"``, ``"\x1c"`` to
 ``"\x1e"``, U+0085, U+2028, U+2029) is held until the next one of those
-two.  A ``TraceSyntaxError`` that ``parse_trace`` raises carries in
-``events`` the events of the lines before the bad one, so ``replay_file``
-replays them without parsing its block a second time.
+two.
 
 A byte that is not UTF-8 is decoded as the lone surrogate U+DC80 to U+DCFF
 that stands for it (PEP 383's ``surrogateescape``), and ``parse_trace``
@@ -115,8 +113,6 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
 
     A character U+DC80 to U+DCFF stands for the byte 0x80 to 0xff that
     ``read_blocks`` could not decode, and fails its line, a comment too.
-    The ``TraceSyntaxError`` for a bad line carries in ``events`` the
-    events of the lines before it.
     """
     events = []
     is_id = _ID_CHARS.issuperset
@@ -139,9 +135,7 @@ def parse_trace(text: str, first_line: int = 1) -> List[TraceEvent]:
             continue
         # a line that no branch took is a comment or an error
         if tokens[0][0] != "#" or _BAD_BYTE_RE.search(raw):
-            exc = _syntax_error(raw, line_no)
-            exc.events = events
-            raise exc
+            raise _syntax_error(raw, line_no)
     return events
 
 
@@ -219,6 +213,7 @@ def replay_file(path, slot_size: int, capacity: int,
                 events = parse_trace(block, first_line)
             except TraceSyntaxError as exc:
                 # a replay error on an earlier line of the block comes first
-                replay(exc.events, pool, live)
+                good = block.splitlines(True)[:exc.line_no - first_line]
+                replay(parse_trace("".join(good), first_line), pool, live)
                 raise
             yield replay(events, pool, live)

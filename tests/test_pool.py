@@ -19,6 +19,17 @@ from bitfit import (
 from bitfit.cli import ALLOCATOR_CHOICES
 
 
+class IntLike:
+    """An integer type that is not int, as numpy's are: it has only
+    ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 class TestConstruction:
     def test_one_byte_slots_are_legal(self):
         pool = Pool(1, 8, "bitmap")
@@ -37,6 +48,30 @@ class TestConstruction:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             Pool(32, 8, "slab")
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("capacity", [8.0, 32.5, 1e3])
+    def test_float_capacity_rejected(self, kind, capacity):
+        with pytest.raises(TypeError):
+            make_policy(kind, capacity)
+        with pytest.raises(TypeError):
+            Pool(32, capacity, kind)
+
+    @pytest.mark.parametrize("slot_size", [32.0, 32.5])
+    def test_float_slot_size_rejected(self, slot_size):
+        with pytest.raises(TypeError):
+            Pool(slot_size, 8, "bitmap")
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_int_like_sizes_give_int_offsets(self, kind):
+        pool = Pool(IntLike(32), IntLike(1000), kind)
+        assert (pool.slot_size, pool.capacity) == (32, 1000)
+        assert type(pool.slot_size) is int and type(pool.capacity) is int
+        offsets = [pool.acquire() for _ in range(1000)]
+        assert sorted(offsets) == list(range(0, 32000, 32))
+        assert all(type(offset) is int for offset in offsets)
+        pool.release(offsets[10])
+        assert type(pool.acquire_near(offsets[20])) is int
 
 
 class TestAcquireRelease:

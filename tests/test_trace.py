@@ -103,25 +103,6 @@ class TestParse:
             parse_trace(text)
         assert str(err.value) == error
 
-    @pytest.mark.parametrize("text, first_line, count", [
-        ("alloc\nalloc a\n", 1, 0),
-        ("alloc a\nalloc_hint b a\nfree a b\nalloc c\n", 1, 2),
-        ("# c\n\nalloc a\n\n  # d\nrealloc a\nfree a\n", 1, 1),
-        ("alloc a\nfree a\nalloc b\udcff\n", 1, 2),
-        ("alloc a\r\n\nfree a\ralloc b!\nalloc c\n", 40, 2),
-    ], ids=["first-line", "after-events", "after-comments",
-            "bad-byte", "first-line-40"])
-    def test_syntax_error_carries_the_events_before_it(self, text,
-                                                       first_line, count):
-        with pytest.raises(TraceSyntaxError) as err:
-            parse_trace(text, first_line)
-        head = text.splitlines(True)[:err.value.line_no - first_line]
-        assert err.value.events == parse_trace("".join(head), first_line)
-        assert len(err.value.events) == count
-
-    def test_syntax_error_built_elsewhere_carries_no_events(self):
-        assert TraceSyntaxError(3, "cannot parse 'x'").events == ()
-
     def test_comment_line_leaves_the_events_of_a_plain_block(self):
         events = parse_trace(self.PLAIN)
         assert parse_trace(self.PLAIN + "# é\n") == events
@@ -165,8 +146,6 @@ class TestParse:
                 parse_trace(text)
             assert type(err.value) is TraceSyntaxError
             assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
-            head = text.splitlines(True)[:exc.line_no - 1]
-            assert err.value.events == parse_trace_reference("".join(head))
         else:
             assert parse_trace(text) == expected
 
