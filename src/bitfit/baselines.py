@@ -4,11 +4,10 @@ The free lists model the bucketed-arena behavior that randomizes addresses
 over time; the linear bitmap is the brute-force first-fit scan that the
 tree allocator is measured against.  ``tests/oracles.py`` holds each to
 its definition.  One base owns their occupancy map, a byte per slot made
-up front, with its checks and ``release``.  Only the scan shows the map,
-as ``leaf_bits``: ``bench/child.py`` takes a ``bytearray`` of that name
-for the scan's map and pins slots by writing it.  A free count is not part
-of the policy contract; the scan alone keeps one, ``free_count``, because
-``bench/child.py`` lowers it by the slots it pins.
+up front, with its checks and ``release``.  Each kind shows only the
+policy contract: ``capacity``, ``allocate``, ``allocate_with_hint`` and
+``release``.  ``bench/`` drives them through that contract alone, and pins
+slots in any kind by calling ``allocate``.
 """
 
 from collections import deque
@@ -18,7 +17,8 @@ from .errors import already_free, exhausted, out_of_range
 
 class _FlatPolicy:
     """What the flat policies share; ``release`` hands each freed slot to
-    ``_put``.  With no structure to steer by, a hint is only range-checked."""
+    ``_put``, which keeps nothing unless a subclass has a free list.  With
+    no structure to steer by, a hint is only range-checked."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -39,31 +39,34 @@ class _FlatPolicy:
         self._used[slot] = 0
         self._put(slot)
 
+    def _put(self, slot: int) -> None:
+        pass
+
 
 class FreeListPolicy(_FlatPolicy):
     """Fixed-size free-list allocator, LIFO or FIFO reuse order.
 
-    Fresh pools allocate by bumping ``next_fresh`` so first use hands out
+    Fresh pools allocate by bumping ``_next_fresh`` so first use hands out
     slots in address order; once slots have been returned, the free list
     takes priority and reuse order depends only on free order.
     """
 
-    def __init__(self, capacity: int, order: str = "lifo"):
+    def __init__(self, capacity: int, order: str):
         super().__init__(capacity)
         if order not in ("lifo", "fifo"):
             raise ValueError(f"unknown order {order!r}")
-        free = self.free_sequence = deque()
+        free = self._free_sequence = deque()
         self._put = free.append
         # the end of the free list that reuse takes from
         self._take = free.pop if order == "lifo" else free.popleft
-        self.next_fresh = 0
+        self._next_fresh = 0
 
     def allocate(self) -> int:
-        if self.free_sequence:
+        if self._free_sequence:
             slot = self._take()
-        elif self.next_fresh < self.capacity:
-            slot = self.next_fresh
-            self.next_fresh += 1
+        elif self._next_fresh < self.capacity:
+            slot = self._next_fresh
+            self._next_fresh += 1
         else:
             raise exhausted()
         self._used[slot] = 1
@@ -77,18 +80,9 @@ class LinearBitmapPolicy(_FlatPolicy):
     ``tests/oracles.FirstFitReference``.
     """
 
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self.leaf_bits = self._used
-        self.free_count = capacity
-
     def allocate(self) -> int:
         slot = self._used.find(0)
         if slot < 0:
             raise exhausted()
         self._used[slot] = 1
-        self.free_count -= 1
         return slot
-
-    def _put(self, slot: int) -> None:
-        self.free_count += 1

@@ -15,8 +15,8 @@ from .errors import bad_offset
 
 # one constructor per policy kind, called with the capacity; a policy has
 # capacity, allocate(), allocate_with_hint(slot) and release(slot).
-# The flat kinds share one base's occupancy map, checks and release; only the
-# scan shows the map, as leaf_bits, the name bench/child.py pins it by
+# The flat kinds share one base's occupancy map, checks and release, and show
+# nothing beyond those four names.
 POLICIES = {
     "bitmap": BitTree,
     "freelist_lifo": partial(FreeListPolicy, order="lifo"),
