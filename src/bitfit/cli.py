@@ -20,7 +20,12 @@ from .bittree import BitTree
 from .errors import AllocatorError, TraceError
 from .pool import POLICY_KINDS
 from .trace import replay_file
-from .workload import LocalityReport, run_list_lifecycle, run_random_churn
+from .workload import (
+    DEFAULT_LINE_SIZE,
+    LocalityReport,
+    run_list_lifecycle,
+    run_random_churn,
+)
 
 ALLOCATOR_CHOICES = tuple(kind.replace("_", "-") for kind in POLICY_KINDS)
 
@@ -104,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slot-size", type=_int_at_least(1), default=32)
         if seeded:  # a replay draws no random number and measures no cache line
             p.add_argument("--seed", type=_int_at_least(0), default=0)
-            p.add_argument("--line-size", type=_int_at_least(1), default=64)
+            p.add_argument("--line-size", type=_int_at_least(1),
+                           default=DEFAULT_LINE_SIZE)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--timestamp", action="store_true",
                        help="include a wall-clock timestamp in the report")

@@ -27,6 +27,12 @@ def next_pow2_by_doubling(n):
     return p
 
 
+def step_bound(n_leaves):
+    """The most ``op_steps`` one operation may take on a tree of
+    ``n_leaves`` leaves: 6 per level plus 4, so 4 on a one-leaf tree."""
+    return 6 * (n_leaves - 1).bit_length() + 4
+
+
 def rebuild_internal(leaves):
     """Bottom-up AND rebuild; returns the full level-order bit list."""
     n = len(leaves)

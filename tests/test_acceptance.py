@@ -16,6 +16,7 @@ from oracles import (
     leaves_of,
     lifecycle_trace,
     smallest_free_subtree_on_path,
+    step_bound,
 )
 
 
@@ -157,7 +158,7 @@ def test_criterion_4_step_bound():
     observed = {}
     for n in sizes:
         worst = max_steps_observed(n, rng)
-        bound = 6 * (n - 1).bit_length() + 4
+        bound = step_bound(n)
         assert worst <= bound, f"n_leaves={n}: {worst} > {bound}"
         observed[n] = worst
     # doubling the tree grows the observed max by at most a constant per level

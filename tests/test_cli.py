@@ -302,18 +302,6 @@ class TestReplay:
         assert (code, out) == (1, "")
         assert err == f"error: a pool of {2**61} slots does not fit in memory\n"
 
-    def test_bitmap_and_linear_identical_without_hints(self, capsys, tmp_path):
-        text = "alloc a\nalloc b\nalloc c\nfree b\nalloc d\nfree a\nalloc e\n"
-        path = self.write_trace(tmp_path, text)
-        outputs = []
-        for allocator in ("bitmap", "linear-bitmap"):
-            code, out, _ = run_cli(
-                capsys, "replay", "--trace", path, "--allocator", allocator,
-                "--slots", "8", "--format", "csv")
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
     def test_json_schema(self, capsys, tmp_path):
         path = self.write_trace(tmp_path, "alloc a\n")
         code, out, _ = run_cli(

@@ -1,5 +1,4 @@
 import ast
-import random
 from pathlib import Path
 
 import pytest
@@ -7,7 +6,6 @@ import pytest
 import bitfit
 from bitfit import (
     POLICY_KINDS,
-    AllocatorError,
     BitTree,
     DoubleFree,
     Misaligned,
@@ -219,39 +217,6 @@ def test_slot_offset_bijection():
     for off in offsets:
         pool.release(off)
         assert pool.acquire_near(off) == off
-
-
-def test_policy_interchangeability_legality_only():
-    """Identical op sequences are legal/illegal at the same points everywhere."""
-    rng = random.Random(31)
-    script = []
-    for _ in range(400):
-        script.append(rng.random())
-    outcomes = []
-    for kind in POLICY_KINDS:
-        rngk = random.Random(99)
-        pool = Pool(16, 12, kind)
-        live = []
-        trace = []
-        for roll in script:
-            try:
-                if live and roll < 0.45:
-                    pick = live.pop(rngk.randrange(len(live)))
-                    pool.release(pick)
-                    trace.append("release-ok")
-                elif roll < 0.9:
-                    off = pool.acquire()
-                    live.append(off)
-                    trace.append("acquire-ok")
-                else:
-                    # hint at a fixed slot; only legality is compared
-                    off = pool.acquire_near(16 * 5)
-                    live.append(off)
-                    trace.append("acquire-ok")
-            except AllocatorError as exc:
-                trace.append(type(exc).__name__)
-        outcomes.append(trace)
-    assert all(t == outcomes[0] for t in outcomes[1:])
 
 
 class TestWhatTheBenchmarkUses:

@@ -307,8 +307,12 @@ class TestReplay:
         assert err.value.line_no == 2
 
     def test_duplicate_alloc_id(self):
-        with pytest.raises(DuplicateId):
-            replay(parse_trace("alloc a\nalloc a\n"), Pool(1, 8, "bitmap"), {})
+        # hinted or not, an allocation of a live id would leak its slot
+        for text in ("alloc a\nalloc a\n", "alloc a\nalloc_hint a a\n"):
+            with pytest.raises(DuplicateId,
+                               match="^line 2: alloc of live id 'a'$") as err:
+                replay(parse_trace(text), Pool(1, 8, "bitmap"), {})
+            assert err.value.line_no == 2, text
 
     def test_hint_of_unknown_id(self):
         with pytest.raises(UnknownId):

@@ -1,5 +1,4 @@
 import math
-import random
 import tracemalloc
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfit import POLICY_KINDS, run_list_lifecycle, run_random_churn
-from bitfit.workload import lifecycle_free_order, measure
+from bitfit.workload import churn_steps, lifecycle_free_order, measure
 from oracles import lifecycle_free_order_reference
 
 
@@ -165,3 +164,12 @@ class TestChurn:
         a = run_random_churn("freelist_fifo", 128, 0.6, 500, 11)
         b = run_random_churn("freelist_fifo", 128, 0.6, 500, 11)
         assert a == b
+
+    def test_schedule_is_pinned(self):
+        # no churn report shows which ids are freed, so the schedule is
+        # pinned step by step: fill to 3, then free, allocate, free, ...
+        assert list(churn_steps(6, 0.5, 10, 3)) == [
+            ("alloc", 0), ("alloc", 1), ("alloc", 2), ("free", 0),
+            ("alloc", 3), ("free", 3), ("alloc", 4), ("free", 4),
+            ("alloc", 5), ("free", 2), ("alloc", 6), ("free", 1),
+            ("alloc", 7)]
